@@ -4,6 +4,7 @@
 // same segments. Distances are comparable within a row only (§5.1).
 #include "bench_common.hpp"
 
+#include "api/engine.hpp"
 #include "util/stopwatch.hpp"
 
 using namespace abg;
@@ -16,6 +17,7 @@ int main() {
   bench::rule();
 
   const double per_cca_timeout = bench::full_scale() ? 3600.0 : 40.0;
+  api::Engine engine({.max_concurrent_jobs = 1});
   std::vector<std::string> rows = cca::kernel_cca_names();
   for (const auto& s : cca::student_cca_names()) rows.push_back(s);
 
@@ -41,11 +43,15 @@ int main() {
 
     auto opts = bench::synth_opts(per_cca_timeout);
     if (name == "cubic") opts.unit_check = false;  // §5.5: cube-root units
-    core::PipelineOptions popts;
-    popts.synth = opts;
-    popts.dsl_override = known.dsl_hint;
-    core::Abagnale pipeline(popts);
-    auto result = pipeline.run(traces);
+    api::JobSpec spec;
+    spec.with_synthesis_options(opts).with_dsl(known.dsl_hint);
+    for (const auto& t : traces) spec.add_trace(t);
+    auto handle = engine.submit(std::move(spec));
+    if (!handle.ok()) {
+      std::printf("%-10s | %-52s\n", name.c_str(), handle.status().to_string().c_str());
+      continue;
+    }
+    const core::PipelineResult& result = handle->wait().pipeline;
 
     const std::string synth_str =
         result.found() ? dsl::to_string(*result.synthesis.best.handler) : "<none>";

@@ -322,9 +322,15 @@ int cmd_match(int argc, char** argv) {
   }
   auto traces = load_all(argc, argv, 3);
   if (traces.empty()) return no_traces_rc();
-  std::vector<trace::Trace> steady;
-  for (const auto& t : traces) steady.push_back(trace::trim_warmup(t, 2.0));
-  auto segs = trace::segment_all(steady, 20);
+  api::JobSpec spec;
+  spec.with_dsl(known.dsl_hint);
+  for (auto& t : traces) spec.add_trace(std::move(t));
+  auto prepared = api::prepare(spec);
+  if (!prepared.ok()) {
+    std::fprintf(stderr, "match failed: %s\n", prepared.status().to_string().c_str());
+    return util::exit_code(prepared.status().code());
+  }
+  const auto& segs = prepared->segments;
   const double d =
       synth::total_distance(*known.fine_tuned, segs, distance::Metric::kDtw);
   std::printf("handler: %s\nDTW distance over %zu segments: %.3f\n",

@@ -9,7 +9,7 @@
 // Build & run:  ./build/examples/quickstart [cca-name]
 #include <cstdio>
 
-#include "core/abagnale.hpp"
+#include "api/engine.hpp"
 #include "net/simulator.hpp"
 #include "util/log.hpp"
 
@@ -28,16 +28,22 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n== running the Abagnale pipeline ==\n");
-  core::PipelineOptions opts;
+  api::JobSpec spec;
   // Keep the search small for a quickstart; see bench/ for paper-scale runs.
-  opts.synth.initial_samples = 8;
-  opts.synth.concretize_budget = 24;
-  opts.synth.max_depth = 3;
-  opts.synth.max_nodes = 7;
-  opts.synth.max_holes = 2;
-  opts.synth.timeout_s = 90.0;
-  core::Abagnale pipeline(opts);
-  auto result = pipeline.run(traces);
+  spec.pipeline.synth.initial_samples = 8;
+  spec.pipeline.synth.concretize_budget = 24;
+  spec.pipeline.synth.max_depth = 3;
+  spec.pipeline.synth.max_nodes = 7;
+  spec.pipeline.synth.max_holes = 2;
+  spec.pipeline.synth.timeout_s = 90.0;
+  for (auto& t : traces) spec.add_trace(std::move(t));
+  api::Engine engine;
+  auto handle = engine.submit(std::move(spec));
+  if (!handle.ok()) {
+    std::fprintf(stderr, "bad job: %s\n", handle.status().to_string().c_str());
+    return 1;
+  }
+  const core::PipelineResult& result = handle->wait().pipeline;
 
   std::printf("\n== result ==\n");
   std::printf("classifier label : %s\n", result.classification.label.c_str());

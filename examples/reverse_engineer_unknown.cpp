@@ -12,6 +12,7 @@
 // Build & run:  ./build/examples/reverse_engineer_unknown [student1..student7]
 #include <cstdio>
 
+#include "api/engine.hpp"
 #include "classify/classifier.hpp"
 #include "core/abagnale.hpp"
 #include "net/simulator.hpp"
@@ -63,17 +64,23 @@ int main(int argc, char** argv) {
   std::printf("selected sub-DSL: %s\n\n", dsl_name.c_str());
 
   // --- 3. Synthesize. -------------------------------------------------------
-  core::PipelineOptions popts;
-  popts.dsl_override = dsl_name;
-  popts.synth.initial_samples = 8;
-  popts.synth.concretize_budget = 24;
-  popts.synth.max_depth = 4;
-  popts.synth.max_nodes = 9;
-  popts.synth.max_holes = 3;
-  popts.synth.dopts.max_points = 128;
-  popts.synth.timeout_s = 120.0;
-  core::Abagnale pipeline(popts);
-  auto result = pipeline.run(traces);
+  api::JobSpec spec;
+  spec.with_dsl(dsl_name);
+  spec.pipeline.synth.initial_samples = 8;
+  spec.pipeline.synth.concretize_budget = 24;
+  spec.pipeline.synth.max_depth = 4;
+  spec.pipeline.synth.max_nodes = 9;
+  spec.pipeline.synth.max_holes = 3;
+  spec.pipeline.synth.dopts.max_points = 128;
+  spec.pipeline.synth.timeout_s = 120.0;
+  for (const auto& t : traces) spec.add_trace(t);
+  api::Engine engine;
+  auto handle = engine.submit(std::move(spec));
+  if (!handle.ok()) {
+    std::fprintf(stderr, "bad job: %s\n", handle.status().to_string().c_str());
+    return 1;
+  }
+  const core::PipelineResult& result = handle->wait().pipeline;
 
   if (!result.found()) {
     std::printf("no handler found%s\n",

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "api/version.hpp"
+#include "classify/classifier.hpp"
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
@@ -80,6 +81,67 @@ util::Status JobSpec::validate() const {
     if (auto st = mister880.validate(); !st.is_ok()) return st.with_context("mister880");
   }
   return util::Status::ok();
+}
+
+// --- Pipeline front half --------------------------------------------------------
+
+util::Result<PreparedJob> prepare(const JobSpec& spec) {
+  std::vector<trace::Trace> traces;
+  for (const auto& path : spec.trace_paths) {
+    auto t = trace::load_csv(path, spec.load);
+    if (!t.ok()) return t.status().with_context(path);
+    traces.push_back(std::move(*t));
+  }
+  for (const auto& t : spec.traces) traces.push_back(t);
+
+  const core::PipelineOptions& popts = spec.pipeline;
+  PreparedJob job;
+  if (spec.custom_dsl) {
+    job.dsl = *spec.custom_dsl;
+  } else if (popts.dsl_override) {
+    job.dsl = dsl::dsl_by_name(*popts.dsl_override);  // validated: name is curated
+  } else {
+    classify::Classifier classifier(popts.classifier);
+    job.classification = classifier.classify(traces);
+    job.dsl = dsl::dsl_by_name(core::dsl_for_classification(job.classification));
+    ABG_INFO("classifier: label=%s -> DSL '%s'", job.classification.label.c_str(),
+             job.dsl.name.c_str());
+  }
+  if (!spec.segments.empty()) {
+    job.segments = spec.segments;
+  } else {
+    std::vector<trace::Trace> steady;
+    steady.reserve(traces.size());
+    for (const auto& t : traces) steady.push_back(trace::trim_warmup(t, popts.warmup_s));
+    job.segments =
+        trace::segment_all(steady, popts.min_segment_samples, popts.skip_first_segment);
+  }
+  ABG_INFO("job input: DSL '%s', %zu segments from %zu traces", job.dsl.name.c_str(),
+           job.segments.size(), traces.size());
+  return job;
+}
+
+void record_synthesis(PreparedJob job, synth::SynthesisResult synthesis, JobResult* out) {
+  out->pipeline.classification = std::move(job.classification);
+  out->pipeline.dsl_name = job.dsl.name;
+  out->pipeline.segments_total = job.segments.size();
+  out->pipeline.synthesis = std::move(synthesis);
+  out->segments_total = job.segments.size();
+  out->status = out->pipeline.synthesis.status;
+  out->cache_hits = out->pipeline.synthesis.cache_hits;
+  out->cache_misses = out->pipeline.synthesis.cache_misses;
+  // Built from the recorded iteration reports rather than the streamed
+  // callbacks, so checkpoint-restored iterations (which are not replayed
+  // through on_iteration) are included and the series always matches the
+  // final SynthesisResult.
+  const auto& iters = out->pipeline.synthesis.iterations;
+  out->convergence.clear();
+  out->convergence.reserve(iters.size());
+  double wall_ms = 0.0;
+  for (std::size_t i = 0; i < iters.size(); ++i) {
+    wall_ms += iters[i].seconds * 1000.0;
+    out->convergence.push_back({static_cast<int>(i), iters[i].best_distance, wall_ms});
+  }
 }
 
 // --- JobHandle ---------------------------------------------------------------
@@ -359,82 +421,25 @@ void Engine::run_job(detail::JobInner& job) {
     if (user_cb) user_cb(rep);
   };
 
-  // Assemble the input traces.
-  std::vector<trace::Trace> traces;
-  for (const auto& path : job.spec.trace_paths) {
-    auto t = trace::load_csv(path, job.spec.load);
-    if (!t.ok()) {
-      // A batch manifest must not silently shrink its inputs: one bad file
-      // fails this job (and only this job).
-      out.status = t.status().with_context(path);
-      out.seconds = clock.elapsed_seconds();
-      c_completed.add();
-      return;
-    }
-    traces.push_back(std::move(*t));
-  }
-  for (const auto& t : job.spec.traces) traces.push_back(t);
-
-  // Resolve pre-segmented input and the explicit-DSL paths.
-  const bool pre_segmented = !job.spec.segments.empty();
-  auto resolve_dsl = [&]() -> dsl::Dsl {
-    if (job.spec.custom_dsl) return *job.spec.custom_dsl;
-    return dsl::dsl_by_name(*popts.dsl_override);  // validated: name is curated
-  };
-
-  if (job.spec.kind == JobSpec::Kind::kMister880) {
-    std::vector<trace::Segment> segments = job.spec.segments;
-    if (!pre_segmented) {
-      std::vector<trace::Trace> steady;
-      steady.reserve(traces.size());
-      for (const auto& t : traces) steady.push_back(trace::trim_warmup(t, popts.warmup_s));
-      segments = trace::segment_all(steady, popts.min_segment_samples, popts.skip_first_segment);
-    }
-    out.segments_total = segments.size();
-    out.mister880 = synth::mister880_synthesize(resolve_dsl(), segments, job.spec.mister880);
-    out.status = util::Status::ok();
+  auto prepared = prepare(job.spec);
+  if (!prepared.ok()) {
+    // A batch manifest must not silently shrink its inputs: one bad file
+    // fails this job (and only this job).
+    out.status = prepared.status();
     out.seconds = clock.elapsed_seconds();
-    obs::gauge("api.job.seconds", job_labels).set(out.seconds);
     c_completed.add();
     return;
   }
-
-  if (pre_segmented || job.spec.custom_dsl) {
-    // Direct synthesis: an explicit search space, no classification stage.
-    const dsl::Dsl d = resolve_dsl();
-    std::vector<trace::Segment> segments = job.spec.segments;
-    if (!pre_segmented) {
-      std::vector<trace::Trace> steady;
-      steady.reserve(traces.size());
-      for (const auto& t : traces) steady.push_back(trace::trim_warmup(t, popts.warmup_s));
-      segments = trace::segment_all(steady, popts.min_segment_samples, popts.skip_first_segment);
-    }
-    out.pipeline.dsl_name = d.name;
-    out.pipeline.segments_total = segments.size();
-    out.pipeline.synthesis = synth::synthesize(d, segments, popts.synth);
+  if (job.spec.kind == JobSpec::Kind::kMister880) {
+    out.segments_total = prepared->segments.size();
+    out.mister880 =
+        synth::mister880_synthesize(prepared->dsl, prepared->segments, job.spec.mister880);
+    out.status = util::Status::ok();
   } else {
-    out.pipeline = core::Abagnale(popts).run(traces);
+    auto synthesis = synth::synthesize(prepared->dsl, prepared->segments, popts.synth);
+    record_synthesis(std::move(*prepared), std::move(synthesis), &out);
   }
-  out.segments_total = out.pipeline.segments_total;
-  out.status = out.pipeline.synthesis.status;
-  out.cache_hits = out.pipeline.synthesis.cache_hits;
-  out.cache_misses = out.pipeline.synthesis.cache_misses;
   out.seconds = clock.elapsed_seconds();
-
-  // Rebuild the convergence series from the recorded iteration reports
-  // rather than the streamed callbacks, so checkpoint-restored iterations
-  // (which are not replayed through on_iteration) are included and the
-  // series always matches the final SynthesisResult.
-  const auto& iters = out.pipeline.synthesis.iterations;
-  out.convergence.clear();
-  out.convergence.reserve(iters.size());
-  double wall_ms = 0.0;
-  for (std::size_t i = 0; i < iters.size(); ++i) {
-    wall_ms += iters[i].seconds * 1000.0;
-    out.convergence.push_back(
-        {static_cast<int>(i), iters[i].best_distance, wall_ms});
-  }
-
   obs::gauge("api.job.seconds", job_labels).set(out.seconds);
   c_completed.add();
 }

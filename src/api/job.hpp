@@ -26,6 +26,7 @@
 #include "synth/refinement.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_io.hpp"
+#include "util/result.hpp"
 #include "util/status.hpp"
 
 namespace abg::api {
@@ -52,8 +53,7 @@ struct JobSpec {
   // Pre-segmented input: when non-empty, the pipeline's trim/segment stage
   // is bypassed and these segments feed synthesis directly. Requires an
   // explicit DSL (custom_dsl or pipeline.dsl_override) since there is no
-  // trace left to classify. This is the path the legacy free-function
-  // wrappers (api::synthesize / api::run_mister880) use.
+  // trace left to classify.
   std::vector<trace::Segment> segments;
 
   // An explicit DSL object, for callers that built their own search space;
@@ -189,5 +189,22 @@ struct JobResult {
   // The CLI/run-script exit class for this job (0 ok, 5 timeout, ...).
   int exit_class() const { return util::exit_code(status.code()); }
 };
+
+// The pipeline's front half, shared by every way a job runs (Engine, the
+// distributed coordinator and its workers): load the trace CSVs, add the
+// in-memory traces, pick the DSL (custom_dsl, else pipeline.dsl_override,
+// else the classifier's family, §3.3), then trim warm-up and segment (§3.2)
+// unless the spec is pre-segmented. The spec must be valid; a trace that
+// fails to load fails the whole job.
+struct PreparedJob {
+  dsl::Dsl dsl;
+  std::vector<trace::Segment> segments;
+  classify::Classification classification;  // empty label unless classified
+};
+util::Result<PreparedJob> prepare(const JobSpec& spec);
+
+// Record a finished pipeline search into `out`: the pipeline payload, the
+// job status, the per-job cache tallies and the convergence series.
+void record_synthesis(PreparedJob job, synth::SynthesisResult synthesis, JobResult* out);
 
 }  // namespace abg::api

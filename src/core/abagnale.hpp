@@ -1,8 +1,9 @@
-// The Abagnale pipeline façade (Figure 1): packet traces -> CCA classifier
-// -> sub-DSL selection -> trace segmentation + diversity sampling ->
-// bucketized, SMT-enumerated, distance-guided refinement loop -> the
-// simplest handler expression whose synthesized trace best matches the
-// observations.
+// Configuration and result types of the Abagnale pipeline (Figure 1):
+// packet traces -> CCA classifier -> sub-DSL selection -> trace segmentation
+// + diversity sampling -> bucketized, SMT-enumerated, distance-guided
+// refinement loop -> the simplest handler expression whose synthesized trace
+// best matches the observations. api::Engine runs the pipeline (front half:
+// api::prepare; search: synth::synthesize).
 #pragma once
 
 #include <optional>
@@ -30,8 +31,8 @@ struct PipelineOptions {
   std::optional<std::string> dsl_override;
 
   // Eager validation of the whole option tree (synth options included).
-  // Returns kInvalidArgument naming the first bad field; called by run()/
-  // run_with_dsl() and by every abg::api entry point before any work starts.
+  // Returns kInvalidArgument naming the first bad field; called by every
+  // abg::api entry point before any work starts.
   util::Status validate() const;
 };
 
@@ -52,23 +53,5 @@ struct PipelineResult {
 // to the closest known CCA's family; no hint at all defaults to the Vegas
 // DSL (the broadest curated space).
 std::string dsl_for_classification(const classify::Classification& c);
-
-class Abagnale {
- public:
-  explicit Abagnale(PipelineOptions opts = {});
-
-  // Full pipeline over a set of connections collected from one CCA.
-  PipelineResult run(const std::vector<trace::Trace>& traces) const;
-
-  // Synthesis only, with an explicit DSL (used by the §6.3 DSL-impact
-  // experiments and by callers that already know the family).
-  PipelineResult run_with_dsl(const std::vector<trace::Trace>& traces,
-                              const std::string& dsl_name) const;
-
-  const PipelineOptions& options() const { return opts_; }
-
- private:
-  PipelineOptions opts_;
-};
 
 }  // namespace abg::core

@@ -3,33 +3,25 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cmath>
-#include <limits>
 #include <map>
+#include <memory>
 #include <thread>
 #include <utility>
 
 #include "api/manifest.hpp"
-#include "classify/classifier.hpp"
-#include "core/abagnale.hpp"
 #include "dist/http_client.hpp"
 #include "dist/wire.hpp"
-#include "dsl/dsl.hpp"
-#include "dsl/parse.hpp"
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
 #include "synth/buckets.hpp"
 #include "synth/checkpoint.hpp"
 #include "synth/eval_cache.hpp"
-#include "synth/replay.hpp"
 #include "synth/shard.hpp"
-#include "trace/sampler.hpp"
-#include "trace/trace.hpp"
-#include "trace/trace_io.hpp"
 #include "util/csv.hpp"
 #include "util/json_parse.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace abg::dist {
 
@@ -62,9 +54,6 @@ struct Run {
   explicit Run(const CoordinatorOptions& c) : copts(c) {}
 
   const CoordinatorOptions& copts;
-  synth::SynthesisOptions opts;  // dopts already folded
-  dsl::Dsl dsl;
-  std::vector<trace::Segment> segments;
   std::uint64_t pool_fingerprint = 0;
   std::string spec_json;  // codec-serialized spec shipped to every worker
 
@@ -76,7 +65,7 @@ struct Run {
   std::uint64_t epoch = 1;
   std::uint64_t next_pass_id = 1;
 
-  util::CancellationToken* tok = nullptr;
+  const util::CancellationToken* tok = nullptr;  // the driver's, during a pass
   std::size_t reassigned = 0;
 };
 
@@ -204,9 +193,9 @@ util::Status load_worker(Run& run, std::size_t wi) {
 // Run one distributed pass over `labels` (in live order): issue per-worker
 // iterate RPCs, poll, reassign on death, and return the post-pass
 // checkpoints keyed by label. Cancellation aborts with the token's reason.
-util::Status run_pass(Run& run, const std::vector<std::string>& labels, std::size_t target,
-                      const std::vector<std::size_t>& working,
-                      std::map<std::string, synth::BucketCheckpoint>* out) {
+util::Status run_remote_pass(Run& run, const std::vector<std::string>& labels,
+                             std::size_t target, const std::vector<std::size_t>& working,
+                             std::map<std::string, synth::BucketCheckpoint>* out) {
   static auto& c_passes = obs::counter("dist.passes");
   c_passes.add();
 
@@ -387,352 +376,127 @@ util::Status run_pass(Run& run, const std::vector<std::string>& labels, std::siz
   return util::Status::ok();
 }
 
-// Sum the workers' cumulative cache tallies (best effort: a dead worker's
-// counts are simply absent — the stats are observability, not results).
-void poll_cache_tallies(Run& run, std::uint64_t* hits, std::uint64_t* misses) {
-  *hits = 0;
-  *misses = 0;
-  for (std::size_t wi = 0; wi < run.workers.size(); ++wi) {
-    if (!run.workers[wi].alive) continue;
-    auto r = rpc(run, wi, "GET", "/shard/status", "");
-    if (!r.ok()) continue;
-    auto doc = util::parse_json(r->body);
-    if (!doc.ok()) continue;
-    std::uint64_t h = 0, m = 0;
-    if (const auto* v = doc->find("cache_hits"); v != nullptr) {
-      (void)u64_from_json(*v, "cache_hits", &h);
-    }
-    if (const auto* v = doc->find("cache_misses"); v != nullptr) {
-      (void)u64_from_json(*v, "cache_misses", &m);
-    }
-    *hits += h;
-    *misses += m;
-  }
-}
-
-std::string expr_text(const dsl::ExprPtr& e) { return e ? dsl::to_string(*e) : std::string(); }
-
-// The distributed twin of synth::synthesize(): same control flow, with the
-// per-bucket passes executed by workers and merged from their checkpoints.
-synth::SynthesisResult distributed_synthesize(Run& run, const api::JobSpec& spec) {
-  util::Stopwatch total_clock;
-  synth::SynthesisResult result;
-  const synth::SynthesisOptions& opts = run.opts;
-
-  util::DeadlineWatchdog watchdog(run.tok, opts.timeout_s);
-  auto interrupted = [&] { return run.tok->cancelled(); };
-  auto mark_interrupted = [&] {
-    result.partial = true;
-    result.timed_out = run.tok->reason() == util::StatusCode::kTimeout;
-    result.status =
-        util::Status(run.tok->reason(), "synthesis interrupted; returning best-so-far");
-  };
-
-  result.initial_buckets = run.buckets.size();
-
-  const auto seg_distance = [&](const trace::Segment& a, const trace::Segment& b) {
-    return distance::compute(opts.metric, synth::observed_series_pkts(a),
-                             synth::observed_series_pkts(b), opts.dopts);
-  };
-  trace::SegmentSampler sampler(&run.segments, seg_distance, opts.seed ^ 0x5e95a1d3);
-
-  std::vector<synth::ScoredHandler> candidates;
-  synth::ScoredHandler best;
-
-  int n = opts.initial_samples;
-  int k = opts.initial_keep;
-  std::vector<std::size_t> live(run.buckets.size());
-  for (std::size_t i = 0; i < live.size(); ++i) live[i] = i;
-
-  // --- Checkpoint restore (single-process file format, so a job resumes
-  // interchangeably under synthesize() or the coordinator). ----------------
-  int start_iter = 0;
-  bool resumed = false;
-  if (opts.resume && !opts.checkpoint_path.empty()) {
-    auto loaded = synth::load_checkpoint(opts.checkpoint_path);
-    if (!loaded.ok() && loaded.status().code() == util::StatusCode::kIoError) {
-      ABG_INFO("no checkpoint at %s; starting fresh", opts.checkpoint_path.c_str());
-    } else if (!loaded.ok()) {
-      result.status = loaded.status().with_context("resume");
-      return result;
-    } else {
-      const synth::Checkpoint& ck = *loaded;
-      if (ck.pool_fingerprint != run.pool_fingerprint || ck.seed != opts.seed) {
-        result.status = util::Status(util::StatusCode::kInvalidTrace,
-                                     "checkpoint was written for a different segment pool or seed");
-        return result;
-      }
-      bool consistent = ck.buckets.size() == run.buckets.size();
-      for (std::size_t idx : ck.live) consistent = consistent && idx < run.buckets.size();
-      auto restore_scored = [&](const synth::ScoredHandlerCheckpoint& c) {
-        auto r = synth::parse_scored_handler(c.distance, c.sketch, c.handler);
-        if (!r.ok()) {
-          consistent = false;
-          return synth::ScoredHandler{};
-        }
-        return *r;
-      };
-      for (const auto& bc : ck.buckets) {
-        auto it = run.bucket_index.find(bc.label);
-        if (it == run.bucket_index.end()) {
-          consistent = false;
-          break;
-        }
-        run.committed[it->second] = bc;
-      }
-      best = restore_scored(ck.best);
-      for (const auto& c : ck.candidates) candidates.push_back(restore_scored(c));
-      if (!consistent) {
-        result.status = util::Status(util::StatusCode::kParseError,
-                                     "corrupted checkpoint " + opts.checkpoint_path);
-        return result;
-      }
-      start_iter = ck.next_iter;
-      n = ck.n;
-      k = ck.k;
-      live = ck.live;
-      result.iterations = ck.iterations;
-      sampler.restore(ck.sampler_selected, ck.sampler_rng);
-      resumed = true;
-      ABG_INFO("resumed from %s at iteration %d (%zu live buckets)",
-               opts.checkpoint_path.c_str(), start_iter, live.size());
-    }
-  }
-  if (!resumed) sampler.grow_to(static_cast<std::size_t>(opts.initial_segments));
-
-  auto save_state = [&](int next_iter) {
-    synth::Checkpoint ck;
-    ck.pool_fingerprint = run.pool_fingerprint;
-    ck.seed = opts.seed;
-    ck.next_iter = next_iter;
-    ck.n = n;
-    ck.k = k;
-    ck.best = {best.distance, expr_text(best.sketch), expr_text(best.handler)};
-    ck.sampler_rng = sampler.rng_state();
-    ck.sampler_selected = sampler.selected();
-    ck.live = live;
-    ck.buckets = run.committed;
-    for (const auto& c : candidates) {
-      ck.candidates.push_back({c.distance, expr_text(c.sketch), expr_text(c.handler)});
-    }
-    ck.iterations = result.iterations;
-    if (auto st = synth::save_checkpoint(ck, opts.checkpoint_path); !st.is_ok()) {
-      ABG_WARN("checkpoint save failed: %s", st.to_string().c_str());
-    }
-  };
-
-  // --- Ship the job to the workers. ----------------------------------------
+// Ship the job to every worker (POST /shard/load). Workers that fail to load
+// are declared dead and their buckets move to survivors; a worker that
+// answers wrongly is a configuration error, not a crash to route around.
+util::Status load_workers(Run& run) {
   for (std::size_t wi = 0; wi < run.workers.size(); ++wi) {
     if (auto st = load_worker(run, wi); !st.is_ok()) {
       if (st.code() == util::StatusCode::kInvalidTrace ||
           st.code() == util::StatusCode::kUnknown || st.code() == util::StatusCode::kParseError) {
-        // A worker that answers wrongly is a configuration error, not a
-        // crash to route around.
-        result.status = st;
-        return result;
+        return st;
       }
       mark_dead(run, wi, "load failed");
     }
   }
   if (alive_count(run) == 0) {
-    result.status = util::Status(util::StatusCode::kIoError, "no worker accepted the job");
-    return result;
+    return util::Status(util::StatusCode::kIoError, "no worker accepted the job");
   }
-  // Buckets owned by workers that died during load move to survivors (the
-  // committed state is still fresh, so restore-at-iterate is cheap).
+  // The committed state is still fresh, so restore-at-iterate is cheap.
   for (std::size_t b = 0; b < run.buckets.size(); ++b) {
-    if (!run.workers[run.owner[b]].alive) {
-      run.owner[b] = least_loaded_alive(run);
-    }
+    if (!run.workers[run.owner[b]].alive) run.owner[b] = least_loaded_alive(run);
   }
   obs::gauge("dist.workers").set(static_cast<double>(alive_count(run)));
-
-  // Merge one pass's checkpoints: commit, fold bucket bests into candidates
-  // and the global best. Processed in the caller's label order (live order),
-  // which the strict-< update makes deterministic.
-  auto merge = [&](const std::vector<std::string>& labels,
-                   const std::map<std::string, synth::BucketCheckpoint>& outcome) -> util::Status {
-    for (const auto& label : labels) {
-      const auto it = outcome.find(label);
-      if (it == outcome.end()) {
-        return util::Status(util::StatusCode::kUnknown, "pass result missing bucket " + label);
-      }
-      const synth::BucketCheckpoint& ck = it->second;
-      run.committed[run.bucket_index.at(label)] = ck;
-      if (!ck.best_handler.empty()) {
-        auto parsed = synth::parse_scored_handler(ck.best_distance, ck.best_sketch,
-                                                  ck.best_handler);
-        if (!parsed.ok()) return parsed.status().with_context("bucket " + label);
-        if (parsed->valid()) {
-          if (parsed->distance < best.distance) best = *parsed;
-          candidates.push_back(*parsed);
-        }
-      }
-    }
-    return util::Status::ok();
-  };
-
-  static auto& c_iters = obs::counter("synth.iterations");
-
-  // --- The refinement loop (Algorithm 1), pass execution remoted. ----------
-  for (int iter = start_iter; iter < opts.max_iterations; ++iter) {
-    if (live.empty()) break;
-    if (iter > start_iter && interrupted()) {
-      mark_interrupted();
-      break;
-    }
-    util::Stopwatch iter_clock;
-    c_iters.add();
-
-    std::vector<std::size_t> working = sampler.selected();
-    // Tiny pools: the single-process loop falls back to the whole pool; an
-    // empty index list means exactly that to ShardEngine::run_pass.
-
-    std::vector<std::string> live_labels;
-    for (std::size_t idx : live) live_labels.push_back(run.buckets[idx].label);
-    std::map<std::string, synth::BucketCheckpoint> outcome;
-    if (auto st = run_pass(run, live_labels, static_cast<std::size_t>(n), working, &outcome);
-        !st.is_ok()) {
-      if (st.code() == util::StatusCode::kCancelled || st.code() == util::StatusCode::kTimeout) {
-        mark_interrupted();
-        break;
-      }
-      result.status = st;
-      return result;
-    }
-    if (auto st = merge(live_labels, outcome); !st.is_ok()) {
-      result.status = st;
-      return result;
-    }
-
-    // Rank buckets by score — same comparator over the same values as the
-    // single-process sort (distances round-trip bit-exactly over the wire).
-    std::sort(live.begin(), live.end(), [&](std::size_t a, std::size_t b) {
-      return run.committed[a].best_distance < run.committed[b].best_distance;
-    });
-
-    synth::IterationReport report;
-    report.n_target = n;
-    report.keep = k;
-    report.segments_used = working.empty() ? run.segments.size() : working.size();
-    for (std::size_t idx : live) {
-      synth::BucketReport br;
-      br.label = run.buckets[idx].label;
-      br.score = run.committed[idx].best_distance;
-      br.sketches_enumerated = run.committed[idx].sketches;
-      br.handlers_scored = run.committed[idx].handlers_scored;
-      br.exhausted = run.committed[idx].exhausted;
-      report.buckets.push_back(std::move(br));
-    }
-
-    if (static_cast<std::size_t>(k) < live.size()) {
-      const double kth = run.committed[live[static_cast<std::size_t>(k) - 1]].best_distance;
-      std::size_t cut = live.size();
-      for (std::size_t i = static_cast<std::size_t>(k); i < live.size(); ++i) {
-        if (run.committed[live[i]].best_distance > kth) {
-          cut = i;
-          break;
-        }
-      }
-      live.resize(cut);
-    }
-    for (auto& br : report.buckets) {
-      br.retained = std::any_of(live.begin(), live.end(), [&](std::size_t idx) {
-        return run.buckets[idx].label == br.label;
-      });
-    }
-    report.seconds = iter_clock.elapsed_seconds();
-    report.best_distance = best.distance;
-    poll_cache_tallies(run, &report.cache_hits, &report.cache_misses);
-    result.iterations.push_back(std::move(report));
-    if (spec.on_iteration) spec.on_iteration(result.iterations.back());
-
-    ABG_INFO("dist iter %d: %zu buckets live, N=%d, best=%.3f (%zu workers, %zu reassigned)",
-             iter, live.size(), n, best.distance, alive_count(run), run.reassigned);
-
-    if (interrupted()) {
-      mark_interrupted();
-      break;
-    }
-
-    const bool all_done = std::all_of(live.begin(), live.end(), [&](std::size_t idx) {
-      return run.committed[idx].exhausted;
-    });
-    if (all_done) break;
-
-    // Terminal exhaustive phase: one bucket left (§4.4).
-    if (live.size() == 1) {
-      std::map<std::string, synth::BucketCheckpoint> final_outcome;
-      const std::vector<std::string> final_labels{run.buckets[live[0]].label};
-      if (auto st = run_pass(run, final_labels, opts.exhaustive_cap, sampler.selected(),
-                             &final_outcome);
-          !st.is_ok()) {
-        if (st.code() == util::StatusCode::kCancelled ||
-            st.code() == util::StatusCode::kTimeout) {
-          mark_interrupted();
-          break;
-        }
-        result.status = st;
-        return result;
-      }
-      if (auto st = merge(final_labels, final_outcome); !st.is_ok()) {
-        result.status = st;
-        return result;
-      }
-      break;
-    }
-
-    n *= opts.sample_growth;
-    k = std::max(k / 2, 1);
-    sampler.grow_to(sampler.selected().size() + 2);
-
-    if (!opts.checkpoint_path.empty()) save_state(iter + 1);
-  }
-
-  result.best = best;
-
-  // --- Final validation (§3.2), coordinator-local. Sequential, but the
-  // winner matches the single-process parallel version: a candidate
-  // abandoned against the running winner's distance is at or above the final
-  // minimum either way. -----------------------------------------------------
-  if (!result.partial && !candidates.empty() && !run.segments.empty()) {
-    static auto& c_validated = obs::counter("synth.candidates_validated");
-    sampler.grow_to(opts.final_validation_segments);
-    std::vector<trace::Segment> validation;
-    for (std::size_t idx : sampler.selected()) validation.push_back(run.segments[idx]);
-    std::vector<synth::ScoredHandler> unique;
-    std::vector<std::size_t> hashes;
-    for (const auto& c : candidates) {
-      if (!c.handler) continue;
-      const std::size_t h = dsl::hash_expr(*c.handler);
-      if (std::find(hashes.begin(), hashes.end(), h) != hashes.end()) continue;
-      hashes.push_back(h);
-      unique.push_back(c);
-    }
-    result.candidates_validated = unique.size();
-    c_validated.add(unique.size());
-    synth::ScoredHandler winner;
-    for (const auto& cand : unique) {
-      const double cutoff =
-          opts.early_abandon ? winner.distance : std::numeric_limits<double>::infinity();
-      const double d =
-          synth::total_distance(*cand.handler, validation, opts.metric, opts.dopts, {}, cutoff);
-      if (d < winner.distance) {
-        winner = cand;
-        winner.distance = d;
-      }
-    }
-    if (winner.valid()) result.best = winner;
-  }
-
-  for (const auto& ck : run.committed) {
-    result.total_sketches += ck.sketches;
-    result.total_handlers_scored += ck.handlers_scored;
-  }
-  poll_cache_tallies(run, &result.cache_hits, &result.cache_misses);
-  result.seconds = total_clock.elapsed_seconds();
-  return result;
+  return util::Status::ok();
 }
+
+// The remote pass executor: synth::synthesize() drives the search, the
+// workers run the passes. Every bucket's committed state is the checkpoint of
+// its last completed pass; that is what snapshot() hands to the driver's
+// checkpoint file and what a reassigned bucket is restored from.
+class RemoteExecutor final : public synth::PassExecutor {
+ public:
+  RemoteExecutor(Run& run, std::size_t threads)
+      : run_(run), threads_(threads), summaries_(run.buckets.size()) {
+    for (std::size_t b = 0; b < run.buckets.size(); ++b) summaries_[b].label = run.buckets[b].label;
+  }
+
+  std::size_t bucket_count() const override { return run_.buckets.size(); }
+
+  // Workers are loaded on the first pass, after any checkpoint restore, so
+  // they start from the restored committed states.
+  util::Status run_pass(const std::vector<std::size_t>& buckets, std::size_t target,
+                        const std::vector<std::size_t>& working, int,
+                        const util::CancellationToken& tok,
+                        std::vector<std::size_t>* complete) override {
+    if (!loaded_) {
+      if (auto st = load_workers(run_); !st.is_ok()) return st;
+      loaded_ = true;
+    }
+    std::vector<std::string> labels;
+    for (std::size_t b : buckets) labels.push_back(run_.buckets[b].label);
+    std::map<std::string, synth::BucketCheckpoint> outcome;
+    run_.tok = &tok;
+    const util::Status st = run_remote_pass(run_, labels, target, working, &outcome);
+    // Commit what came back, in the driver's order; an interrupted pass
+    // reports only the buckets whose checkpoints arrived.
+    for (std::size_t b : buckets) {
+      const auto it = outcome.find(run_.buckets[b].label);
+      if (it == outcome.end()) {
+        if (st.is_ok()) {
+          return util::Status(util::StatusCode::kUnknown,
+                              "pass result missing bucket " + run_.buckets[b].label);
+        }
+        continue;
+      }
+      if (auto rst = restore(b, it->second); !rst.is_ok()) return rst;
+      complete->push_back(b);
+    }
+    return st;
+  }
+
+  synth::BucketSummary summary(std::size_t bucket) const override { return summaries_[bucket]; }
+  synth::BucketCheckpoint snapshot(std::size_t bucket) const override {
+    return run_.committed[bucket];
+  }
+  util::Status restore(std::size_t bucket, const synth::BucketCheckpoint& ck) override {
+    auto best = synth::parse_scored_handler(ck.best_distance, ck.best_sketch, ck.best_handler);
+    if (!best.ok()) return best.status().with_context("bucket " + ck.label);
+    run_.committed[bucket] = ck;
+    summaries_[bucket] = {ck.label, *best, ck.sketches, ck.handlers_scored, ck.exhausted};
+    return util::Status::ok();
+  }
+
+  // Sum of the workers' cumulative cache tallies (best effort: a dead
+  // worker's counts are simply absent — the stats are observability, not
+  // results).
+  void cache_tallies(std::uint64_t* hits, std::uint64_t* misses) override {
+    *hits = 0;
+    *misses = 0;
+    for (std::size_t wi = 0; wi < run_.workers.size(); ++wi) {
+      if (!run_.workers[wi].alive) continue;
+      auto r = rpc(run_, wi, "GET", "/shard/status", "");
+      if (!r.ok()) continue;
+      auto doc = util::parse_json(r->body);
+      if (!doc.ok()) continue;
+      std::uint64_t h = 0, m = 0;
+      if (const auto* v = doc->find("cache_hits"); v != nullptr) {
+        (void)u64_from_json(*v, "cache_hits", &h);
+      }
+      if (const auto* v = doc->find("cache_misses"); v != nullptr) {
+        (void)u64_from_json(*v, "cache_misses", &m);
+      }
+      *hits += h;
+      *misses += m;
+    }
+  }
+
+  // Final validation runs here, on the coordinator.
+  util::ThreadPool& pool() override {
+    if (!pool_) {
+      pool_ = std::make_unique<util::ThreadPool>(
+          threads_ == 0 ? std::thread::hardware_concurrency() : threads_);
+    }
+    return *pool_;
+  }
+
+ private:
+  Run& run_;
+  std::size_t threads_;
+  std::vector<synth::BucketSummary> summaries_;
+  std::unique_ptr<util::ThreadPool> pool_;
+  bool loaded_ = false;
+};
 
 }  // namespace
 
@@ -799,105 +563,56 @@ api::JobResult Coordinator::run(const api::JobSpec& spec,
   };
 
   if (opts_.workers.empty()) return fail(invalid("no workers configured"));
-  if (spec.kind != api::JobSpec::Kind::kPipeline) {
-    return fail(invalid("distributed mode supports pipeline jobs only"));
-  }
-  if (!spec.segments.empty() || !spec.traces.empty() || spec.custom_dsl) {
+  if (!spec_is_distributable(spec)) {
     return fail(invalid(
-        "distributed mode needs trace paths (pre-segmented input, in-memory traces, and "
-        "custom DSL objects cannot be shipped to workers)"));
+        "distributed mode runs pipeline jobs over trace paths only (pre-segmented input, "
+        "in-memory traces, and custom DSL objects cannot be shipped to workers)"));
   }
   if (auto st = spec.validate(); !st.is_ok()) return fail(st);
 
-  // --- Front half of the pipeline, coordinator-local (mirrors
-  // api::Engine::run_job + core::Abagnale::run). ----------------------------
-  std::vector<trace::Trace> traces;
-  for (const auto& path : spec.trace_paths) {
-    auto t = trace::load_csv(path, spec.load);
-    if (!t.ok()) return fail(t.status().with_context(path));
-    traces.push_back(std::move(*t));
-  }
+  auto prepared = api::prepare(spec);
+  if (!prepared.ok()) return fail(prepared.status());
 
-  core::PipelineOptions popts = spec.pipeline;
-  std::string dsl_name;
-  if (popts.dsl_override) {
-    dsl_name = *popts.dsl_override;
-  } else {
-    classify::Classifier classifier(popts.classifier);
-    out.pipeline.classification = classifier.classify(traces);
-    dsl_name = core::dsl_for_classification(out.pipeline.classification);
-  }
-  out.pipeline.dsl_name = dsl_name;
-
-  std::vector<trace::Trace> steady;
-  steady.reserve(traces.size());
-  for (const auto& t : traces) steady.push_back(trace::trim_warmup(t, popts.warmup_s));
-  std::vector<trace::Segment> segments =
-      trace::segment_all(steady, popts.min_segment_samples, popts.skip_first_segment);
-  out.pipeline.segments_total = segments.size();
-  out.segments_total = segments.size();
-
-  synth::SynthesisOptions opts = popts.synth;
-  if (auto st = opts.validate(); !st.is_ok()) {
-    return fail(st.with_context("SynthesisOptions"));
-  }
+  synth::SynthesisOptions opts = spec.pipeline.synth;
   opts.dopts = synth::effective_distance_options(opts);
-
-  util::CancellationToken tok(cancel);
+  opts.cancel = cancel;
+  opts.on_iteration = spec.on_iteration;
 
   Run run(opts_);
-  run.opts = opts;
-  run.dsl = dsl::dsl_by_name(dsl_name);
-  run.segments = std::move(segments);
-  run.pool_fingerprint = synth::segment_set_fingerprint(run.segments);
-  run.tok = &tok;
+  run.pool_fingerprint = synth::segment_set_fingerprint(prepared->segments);
   for (const auto& ep : opts_.workers) {
     WorkerView wv;
     wv.ep = ep;
     run.workers.push_back(std::move(wv));
   }
-  run.buckets = synth::make_buckets(run.dsl);
+  run.buckets = synth::make_buckets(prepared->dsl);
   for (std::size_t b = 0; b < run.buckets.size(); ++b) {
     run.bucket_index[run.buckets[b].label] = b;
-    synth::BucketCheckpoint ck;
-    ck.label = run.buckets[b].label;
-    ck.rng = util::Rng(synth::bucket_rng_seed(ck.label, opts.seed)).state();
-    run.committed.push_back(std::move(ck));
+    run.committed.push_back(synth::fresh_bucket_checkpoint(run.buckets[b].label, opts.seed));
     run.owner.push_back(b % run.workers.size());
   }
 
   // Ship the spec with the DSL resolved (workers never classify) and the
   // coordinator-owned knobs stripped.
   api::JobSpec worker_spec = spec;
-  worker_spec.pipeline.dsl_override = dsl_name;
+  worker_spec.pipeline.dsl_override = prepared->dsl.name;
   worker_spec.pipeline.synth.checkpoint_path.clear();
   worker_spec.pipeline.synth.resume = false;
   worker_spec.on_iteration = nullptr;
   worker_spec.on_complete = nullptr;
   run.spec_json = api::spec_to_json(worker_spec);
 
-  out.pipeline.synthesis = distributed_synthesize(run, spec);
+  RemoteExecutor exec(run, opts.threads);
+  auto synthesis = synth::synthesize(prepared->segments, opts, exec);
+  api::record_synthesis(std::move(*prepared), std::move(synthesis), &out);
   obs::gauge("dist.workers").set(static_cast<double>(alive_count(run)));
   obs::gauge("dist.shards_reassigned_last_job").set(static_cast<double>(run.reassigned));
-
-  out.status = out.pipeline.synthesis.status;
-  out.cache_hits = out.pipeline.synthesis.cache_hits;
-  out.cache_misses = out.pipeline.synthesis.cache_misses;
   out.seconds = clock.elapsed_seconds();
   // Wall-clock of the last distributed job, for scaling gates: CI runs the
   // same job on 1 worker and N workers and feeds the two metrics snapshots
   // to `abg_report --gate dist.job_seconds_last.last=0` (N-worker must not
   // be slower).
   obs::gauge("dist.job_seconds_last").set(out.seconds);
-
-  const auto& iters = out.pipeline.synthesis.iterations;
-  out.convergence.clear();
-  out.convergence.reserve(iters.size());
-  double wall_ms = 0.0;
-  for (std::size_t i = 0; i < iters.size(); ++i) {
-    wall_ms += iters[i].seconds * 1000.0;
-    out.convergence.push_back({static_cast<int>(i), iters[i].best_distance, wall_ms});
-  }
   return out;
 }
 

@@ -1,17 +1,14 @@
-// The coordinator half of distributed refinement search (ISSUE 9). Splits
-// one synthesis job into bucket shards, farms the per-iteration passes to N
-// abagnale_worker processes over HTTP, and merges the per-shard results with
-// the exact strict-< / tie-break rules of the single-process loop, so the
-// distributed winner is bit-identical to synth::synthesize() on one machine.
-//
-// Control flow per refinement iteration:
+// The coordinator half of distributed refinement search. Runs one synthesis
+// job through synth::synthesize() — the same Algorithm-1 driver as a local
+// run — with a remote pass executor: the job's buckets are sharded over N
+// abagnale_worker processes, and each pass is farmed out over HTTP:
 //   1. group the live buckets by owning worker (round-robin at job start),
 //   2. POST /shard/iterate to every group's worker (202 + background pass),
 //   3. poll GET /shard/status until every group reports its post-pass
 //      BucketCheckpoints,
-//   4. merge: update the committed per-bucket state, fold bucket bests into
-//      the candidate set and the global best (strict <, bucket order),
-//      rank + top-k cut + N/k growth exactly as synthesize() does.
+//   4. commit them; the driver folds, ranks and cuts exactly as it does for
+//      a local run, so the distributed winner is bit-identical to a
+//      single-process one.
 //
 // Fault tolerance: every bucket's committed state is the checkpoint from its
 // last *completed* pass. When a worker stops answering (max_rpc_failures
@@ -23,12 +20,11 @@
 // final winner is unchanged. A worker once declared dead is never reused —
 // a slow-but-alive straggler holds state the coordinator no longer trusts.
 //
-// The coordinator also owns everything durable and everything global: trace
-// loading + classification + segmentation (workers rebuild the segment pool
-// from the spec and the coordinator cross-checks the fingerprint), the
-// single-process-format checkpoint file (so `--resume` moves a job between
-// distributed and local execution), the deadline watchdog, and the final
-// validation re-ranking.
+// The coordinator also owns everything durable and everything global: the
+// pipeline front half (api::prepare; workers rebuild the segment pool from
+// the spec and the coordinator cross-checks the fingerprint), the
+// checkpoint file (the driver's format, so a job resumes under either
+// executor), the deadline watchdog, and the final validation re-ranking.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +66,7 @@ class Coordinator {
  public:
   explicit Coordinator(CoordinatorOptions opts);
 
-  // Run one job distributed. Mirrors api::Engine's result contract: errors
+  // Run one job distributed, with api::Engine's result contract: errors
   // (ineligible spec, all workers lost, corrupt checkpoint) come back in
   // JobResult::status, interrupts as partial results. Eligible jobs are
   // kPipeline over trace *paths* — pre-segmented input, in-memory traces,

@@ -4,11 +4,8 @@
 
 #include "api/manifest.hpp"
 #include "dist/wire.hpp"
-#include "dsl/dsl.hpp"
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
-#include "trace/trace.hpp"
-#include "trace/trace_io.hpp"
 #include "util/json_parse.hpp"
 #include "util/log.hpp"
 
@@ -141,26 +138,16 @@ obs::HttpResponse Worker::handle_load(const obs::HttpRequest& req) {
   }
   join_pass_locked();
 
-  // Rebuild the segment pool exactly as the single-process pipeline front
-  // half does: load, trim warm-up, segment, pool (core::Abagnale order).
-  std::vector<trace::Trace> traces;
-  for (const auto& path : spec.trace_paths) {
-    auto t = trace::load_csv(path, spec.load);
-    if (!t.ok()) return status_error(400, t.status().with_context(path));
-    traces.push_back(std::move(*t));
-  }
-  std::vector<trace::Trace> steady;
-  steady.reserve(traces.size());
-  for (const auto& t : traces) steady.push_back(trace::trim_warmup(t, spec.pipeline.warmup_s));
-  std::vector<trace::Segment> segments = trace::segment_all(
-      steady, spec.pipeline.min_segment_samples, spec.pipeline.skip_first_segment);
+  // Rebuild the segment pool with the same front half as a local run.
+  auto prepared = api::prepare(spec);
+  if (!prepared.ok()) return status_error(400, prepared.status());
 
   synth::SynthesisOptions opts = spec.pipeline.synth;
   opts.checkpoint_path.clear();  // the coordinator owns durability
   opts.resume = false;
 
-  engine_ = std::make_unique<synth::ShardEngine>(dsl::dsl_by_name(*spec.pipeline.dsl_override),
-                                                 std::move(segments), opts);
+  engine_ = std::make_unique<synth::ShardEngine>(std::move(prepared->dsl),
+                                                 std::move(prepared->segments), opts);
   for (const auto& label : labels) {
     // Fresh start unless the coordinator supplied a state for this label.
     bool adopted = false;
@@ -295,10 +282,12 @@ obs::HttpResponse Worker::handle_status(const obs::HttpRequest&) {
   w.key("pass_id");
   w.value(pass_id_);
   if (engine_ != nullptr) {
+    std::uint64_t hits = 0, misses = 0;
+    engine_->cache_tallies(&hits, &misses);
     w.key("cache_hits");
-    write_u64(w, engine_->cache_hits());
+    write_u64(w, hits);
     w.key("cache_misses");
-    write_u64(w, engine_->cache_misses());
+    write_u64(w, misses);
   }
   if (state_ == State::kDone) {
     if (pass_status_.is_ok()) {

@@ -3,9 +3,9 @@
 // StatusServer's HTTP plumbing:
 //
 //   POST /shard/load     {epoch, spec, buckets, states}  build the engine:
-//                        load the spec's traces, trim + segment them exactly
-//                        as the single-process pipeline would, adopt the
-//                        given bucket states. Replies with the segment-pool
+//                        run the spec through api::prepare (the front half
+//                        every local run uses), adopt the given bucket
+//                        states. Replies with the segment-pool
 //                        fingerprint so the coordinator can verify both
 //                        sides derived the same pool.
 //   POST /shard/iterate  {epoch, pass_id, target, buckets, working}  start

@@ -1,7 +1,8 @@
 // Scoped phase timers: an RAII guard that measures a steady-clock span and
-// feeds it (in microseconds) to a registry histogram on destruction. Used for
-// refinement-loop iterations, per-bucket scoring, validation, and thread-pool
-// queue wait.
+// feeds it (in microseconds) to a registry histogram on destruction. Only
+// the refinement loop uses it, for synth.iter_us (one iteration); the one
+// other timing histogram, pool.queue_wait_us (a thread-pool task's wait
+// before it runs), is observed directly by the pool.
 //
 //   void score_all(...) {
 //     obs::Timer t(obs::histogram("synth.iter_us"));

@@ -28,18 +28,6 @@ namespace abg::synth {
 
 namespace {
 
-// Per-bucket search state: the shard-able core (synth/shard.hpp, shared with
-// the distributed workers) plus this loop's obs/journal caches.
-struct BucketState : BucketSearchState {
-  // Labeled {job=...,bucket=...} series, resolved on this bucket's first
-  // scoring pass (only when the run carries obs_labels) and cached here so
-  // the scoring path never re-enters the registry mutex.
-  obs::Counter* labeled_scored = nullptr;
-  // Interned journal id of this bucket's label, resolved on first journaled
-  // scoring pass (journal_intern takes a mutex; the id is stable after).
-  std::uint32_t journal_bucket = 0;
-};
-
 // One candidate of the batched scoring window (ISSUE 7). Candidates join
 // the window in enumeration order; cache hits arrive with their distance,
 // misses stay pending until a lane-batch flush evaluates them.
@@ -360,21 +348,26 @@ std::optional<std::pair<std::size_t, std::size_t>> SynthesisResult::bucket_rank(
 
 SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment>& segments,
                            const SynthesisOptions& opts_in) {
-  util::Stopwatch total_clock;
-  SynthesisResult result;
-
-  // Eager options validation (ISSUE 4): a bad knob fails here, before any
-  // enumerator, pool, or checkpoint work, with the field named in the status.
+  // Eager options validation: a bad knob fails here, before any enumerator,
+  // pool, or checkpoint work, with the field named in the status.
   if (auto st = opts_in.validate(); !st.is_ok()) {
+    SynthesisResult result;
     result.status = st.with_context("SynthesisOptions");
     return result;
   }
-
   // Fold the run-level SIMD choice into the distance options once, so every
   // downstream distance — bucket scoring and final validation alike — runs
-  // the same kernel (ISSUE 7).
+  // the same kernel.
   SynthesisOptions opts = opts_in;
   opts.dopts = effective_distance_options(opts);
+  LocalExecutor exec(dsl, segments, opts);
+  return synthesize(segments, opts, exec);
+}
+
+SynthesisResult synthesize(const std::vector<trace::Segment>& segments,
+                           const SynthesisOptions& opts, PassExecutor& exec) {
+  util::Stopwatch total_clock;
+  SynthesisResult result;
 
   // All interrupt sources — the deadline watchdog, a caller-supplied token,
   // and injected faults — funnel into one local token polled at every safe
@@ -389,15 +382,11 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
     result.status = util::Status(tok.reason(), "synthesis interrupted; returning best-so-far");
   };
 
-  // --- Bucketize the space (§4.4). -----------------------------------------
-  std::vector<BucketState> states;
-  for (auto& b : make_buckets(dsl)) {
-    BucketState st;
-    st.bucket = std::move(b);
-    st.rng = util::Rng(bucket_rng_seed(st.bucket.label, opts.seed));
-    states.push_back(std::move(st));
-  }
-  result.initial_buckets = states.size();
+  // --- Bucketize the space (§4.4). The executor owns the bucket states; the
+  // driver keeps each bucket's summary as of its last completed pass.
+  std::vector<BucketSummary> buckets(exec.bucket_count());
+  for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] = exec.summary(i);
+  result.initial_buckets = buckets.size();
 
   // --- Segment working set (§3.2). -----------------------------------------
   const auto seg_distance = [&](const trace::Segment& a, const trace::Segment& b) {
@@ -408,130 +397,38 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
   // The initial grow_to happens after the resume block below: a restored
   // sampler already contains its selection and RNG position.
 
-  // Executor: a caller-supplied shared pool (the batch engine's), or a
-  // private one sized by opts.threads for standalone runs.
-  std::unique_ptr<util::ThreadPool> owned_pool;
-  util::ThreadPool* pool = opts.pool;
-  if (pool == nullptr) {
-    owned_pool = std::make_unique<util::ThreadPool>(
-        opts.threads == 0 ? std::thread::hardware_concurrency() : opts.threads);
-    pool = owned_pool.get();
-  }
   std::vector<ScoredHandler> candidates;  // every bucket-best ever seen
-  // Set by any bucket task that completes a pass with a valid best. The
-  // interrupted-skip inside score_bucket consults it during the first
-  // iteration, before the post-join fold has populated result.best.
-  std::atomic<bool> pass_found{false};
-
-  // One memo cache for the whole run, shared by every bucket and iteration
-  // (pool workers hit different mutex stripes concurrently). Re-scoring a
-  // sketch list under an unchanged working set — the terminal exhaustive
-  // phase, and every iteration once the sampler has consumed its pool —
-  // reuses the exact distances instead of replaying. A caller-supplied
-  // shared_cache extends the reuse across jobs; entries are exact, so this
-  // never changes the result.
-  EvalCache local_cache;
-  EvalCache* cache = opts.shared_cache != nullptr ? opts.shared_cache : &local_cache;
-  std::atomic<std::uint64_t> run_cache_hits{0};
-  std::atomic<std::uint64_t> run_cache_misses{0};
-
   int n = opts.initial_samples;
   int k = opts.initial_keep;
-  std::vector<std::size_t> live(states.size());
+  std::vector<std::size_t> live(buckets.size());
   for (std::size_t i = 0; i < live.size(); ++i) live[i] = i;
 
-  // Score every enumerated sketch of `st` against the current segment set;
-  // updates st.best. The caller folds bucket bests into the global best and
-  // the candidate list after the pass joins, in canonical live order —
-  // folding here (task-completion order) would make equal-distance ties
-  // racy and diverge from the distributed coordinator's deterministic
-  // merge. Respects the cancellation token:
-  // once fired (deadline, caller, injected fault), stops enumerating and
-  // scoring but keeps what it has (the loop always returns the best handler
-  // found so far, §4.4).
-  // Journal provenance (ISSUE 6): resolved once per run. The job id comes
-  // from the engine's obs labels ({job=...}); a standalone run journals with
-  // job id 0 (""). The scope is installed inside the scoring task body, so a
-  // pool worker that steals the task self-attributes to this run.
-  const bool journal_run = opts.journal && obs::journal_enabled();
-  std::uint32_t journal_job = 0;
-  if (journal_run) {
-    for (const auto& [key, value] : opts.obs_labels) {
-      if (key == "job") {
-        journal_job = obs::journal_intern(value);
-        break;
-      }
-    }
-  }
-
-  auto score_bucket = [&](BucketState& st, std::size_t target, int iter,
-                          const std::vector<trace::Segment>& working) {
-    obs::TraceSpan span("score " + st.bucket.label, "synth");
-    std::optional<obs::JournalScope> jscope;
-    if (journal_run) {
-      if (st.journal_bucket == 0) st.journal_bucket = obs::journal_intern(st.bucket.label);
-      jscope.emplace(journal_job, st.journal_bucket, static_cast<std::uint32_t>(iter));
-    }
-    if (!opts.obs_labels.empty() && st.labeled_scored == nullptr) {
-      obs::Labels labels = opts.obs_labels;
-      labels.emplace_back("bucket", st.bucket.label);
-      st.labeled_scored = &obs::counter("synth.handlers_scored", labels);
-    }
-    const std::size_t scored_before = st.handlers_scored;
-    // A preempted run that already has a global best skips the remaining
-    // buckets outright — building their enumerators just to honor the
-    // one-sketch-minimum rule below would stretch the deadline by seconds.
-    if (interrupted()) {
-      // result.best is only written between passes (pool joined), so the
-      // read is race-free; pass_found covers bests from the current pass.
-      if (result.best.valid() || pass_found.load(std::memory_order_acquire)) return;
-    }
-    enumerate_bucket_sketches(dsl, opts, st, target, interrupted);
-    // Re-score all sketches under the (possibly grown) segment set, as
-    // Algorithm 1 line 5 does. The pass itself is the shared shard core
-    // (synth/shard.*) so distributed workers run character-for-character the
-    // same search.
-    EvalContext ctx;
-    ctx.cache = opts.use_eval_cache ? cache : nullptr;
-    ctx.fingerprint = opts.use_eval_cache ? segment_set_fingerprint(working) : 0;
-    ctx.cancel = &tok;
-    ctx.cache_hit_tally = &run_cache_hits;
-    ctx.cache_miss_tally = &run_cache_misses;
-    const ScoredHandler bucket_best = score_bucket_pass(dsl, opts, st, working, &ctx, interrupted);
-    if (st.labeled_scored != nullptr) {
-      st.labeled_scored->add(st.handlers_scored - scored_before);
-    }
-    if (jscope && bucket_best.valid() && bucket_best.sketch) {
-      // This iteration's bucket winner (not the run winner: that event
-      // carries kJournalFinal and is recorded after final validation).
-      obs::journal_record_selected(dsl::hash_expr(*bucket_best.sketch),
-                                   bucket_best.fingerprint, bucket_best.distance,
-                                   obs::journal_intern(dsl::to_string(*bucket_best.handler)),
-                                   false);
-    }
-    if (bucket_best.valid()) pass_found.store(true, std::memory_order_release);
-  };
-
-  // Fold one pass's bucket bests into the global best and the candidate
-  // list, in the given (pre-sort) live order — the exact order the
-  // distributed coordinator merges shard checkpoints in — so equal-distance
-  // ties resolve identically in-process and across workers instead of by
-  // task-completion order.
-  auto fold_pass = [&](const std::vector<std::size_t>& order) {
-    for (std::size_t idx : order) {
-      const ScoredHandler& bucket_best = states[idx].best;
+  // Run one pass over the live buckets and fold the bucket bests the
+  // executor reports complete into the global best and the candidate list,
+  // in live (pre-sort) order, so equal-distance ties resolve identically
+  // in-process and across workers instead of by task-completion order. An
+  // interrupted pass folds what completed, so the loop always returns the
+  // best handler found so far (§4.4).
+  auto run_pass = [&](std::size_t target, int iter) {
+    std::vector<std::size_t> complete;
+    const util::Status st = exec.run_pass(live, target, sampler.selected(), iter, tok, &complete);
+    for (std::size_t idx : complete) {
+      buckets[idx] = exec.summary(idx);
+      const ScoredHandler& bucket_best = buckets[idx].best;
       if (!bucket_best.valid()) continue;
       if (bucket_best.distance < result.best.distance) result.best = bucket_best;
       candidates.push_back(bucket_best);
     }
-    pass_found.store(false, std::memory_order_relaxed);
+    return st;
+  };
+  auto is_interrupt = [](const util::Status& st) {
+    return st.code() == util::StatusCode::kCancelled || st.code() == util::StatusCode::kTimeout;
   };
 
-  // --- Checkpoint save/restore (ISSUE 3). ----------------------------------
+  // --- Checkpoint save/restore. ----------------------------------------------
   auto expr_text = [](const dsl::ExprPtr& e) { return e ? dsl::to_string(*e) : std::string(); };
   // Serialize the complete loop state so a resumed run is bit-identical to
-  // an uninterrupted one. Called only between iterations, when the pool has
-  // joined, so no lock is needed.
+  // an uninterrupted one. Called only between iterations, when no pass runs.
   auto save_state = [&](int next_iter) {
     Checkpoint ck;
     ck.pool_fingerprint = segment_set_fingerprint(segments);
@@ -543,7 +440,7 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
     ck.sampler_rng = sampler.rng_state();
     ck.sampler_selected = sampler.selected();
     ck.live = live;
-    for (const auto& st : states) ck.buckets.push_back(bucket_state_to_checkpoint(st));
+    for (std::size_t i = 0; i < buckets.size(); ++i) ck.buckets.push_back(exec.snapshot(i));
     for (const auto& c : candidates) {
       ck.candidates.push_back({c.distance, expr_text(c.sketch), expr_text(c.handler)});
     }
@@ -573,35 +470,32 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
                                      "checkpoint was written for a different segment pool or seed");
         return result;
       }
-      bool consistent = ck.buckets.size() == states.size();
-      for (std::size_t idx : ck.live) consistent = consistent && idx < states.size();
-      auto restore_scored = [&](const ScoredHandlerCheckpoint& c) {
+      bool consistent = ck.buckets.size() == buckets.size();
+      for (std::size_t idx : ck.live) consistent = consistent && idx < buckets.size();
+      for (const auto& bc : ck.buckets) {
+        auto it = std::find_if(buckets.begin(), buckets.end(),
+                               [&](const BucketSummary& b) { return b.label == bc.label; });
+        const std::size_t idx = static_cast<std::size_t>(it - buckets.begin());
+        if (it == buckets.end() || !exec.restore(idx, bc).is_ok()) {
+          consistent = false;
+          break;
+        }
+        buckets[idx] = exec.summary(idx);
+      }
+      // The running best may be empty; every candidate was a valid bucket
+      // best when it was saved, and final validation replays its handler.
+      auto restore_scored = [&](const ScoredHandlerCheckpoint& c, bool required) {
         auto r = parse_scored_handler(c.distance, c.sketch, c.handler);
-        if (!r.ok()) {
+        if (!r.ok() || (required && !r->valid())) {
           consistent = false;
           return ScoredHandler{};
         }
         return *r;
       };
-      for (const auto& bc : ck.buckets) {
-        auto it = std::find_if(states.begin(), states.end(), [&](const BucketState& s) {
-          return s.bucket.label == bc.label;
-        });
-        if (it == states.end()) {
-          consistent = false;
-          break;
-        }
-        // Sketches are re-derived, not deserialized: the SMT enumerator is
-        // deterministic, so pulling the recorded count reproduces the list
-        // (bucket_state_from_checkpoint, shared with shard reassignment).
-        if (auto st = bucket_state_from_checkpoint(dsl, opts, bc, &*it); !st.is_ok()) {
-          consistent = false;
-          break;
-        }
-      }
-      result.best = restore_scored(ck.best);
-      for (const auto& c : ck.candidates) candidates.push_back(restore_scored(c));
+      result.best = restore_scored(ck.best, false);
+      for (const auto& c : ck.candidates) candidates.push_back(restore_scored(c, true));
       if (!consistent) {
+        result.best = ScoredHandler{};
         result.status = util::Status(util::StatusCode::kParseError,
                                      "corrupted checkpoint " + opts.checkpoint_path);
         return result;
@@ -630,6 +524,7 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
     c_iters_job = &obs::counter("synth.iterations", opts.obs_labels);
     g_best_job = &obs::gauge("synth.best_distance", opts.obs_labels);
   }
+  const bool journal_run = opts.journal && obs::journal_enabled();
 
   for (int iter = start_iter; iter < opts.max_iterations; ++iter) {
     if (live.empty()) break;
@@ -658,41 +553,43 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
     iter_args.end_object();
     obs::TraceSpan iter_span("synth.iteration", "synth", iter_args.take());
 
-    std::vector<trace::Segment> working;
-    for (std::size_t idx : sampler.selected()) working.push_back(segments[idx]);
-    if (working.empty()) working = segments;  // tiny pools: use everything
-
     // Parallel bucket scoring (line 3 of Algorithm 1).
-    pool->parallel_for(live.size(), [&](std::size_t i) {
-      score_bucket(states[live[i]], static_cast<std::size_t>(n), iter, working);
-    });
-    fold_pass(live);
+    const std::size_t segments_used =
+        sampler.selected().empty() ? segments.size() : sampler.selected().size();
+    if (auto st = run_pass(static_cast<std::size_t>(n), iter); !st.is_ok()) {
+      if (!is_interrupt(st)) {
+        result.status = st;
+        return result;
+      }
+      mark_interrupted();
+      break;
+    }
 
     // Rank buckets by score.
     std::sort(live.begin(), live.end(), [&](std::size_t a, std::size_t b) {
-      return states[a].best.distance < states[b].best.distance;
+      return buckets[a].best.distance < buckets[b].best.distance;
     });
 
     IterationReport report;
     report.n_target = n;
     report.keep = k;
-    report.segments_used = working.size();
+    report.segments_used = segments_used;
     for (std::size_t idx : live) {
       BucketReport br;
-      br.label = states[idx].bucket.label;
-      br.score = states[idx].best.distance;
-      br.sketches_enumerated = states[idx].sketches.size();
-      br.handlers_scored = states[idx].handlers_scored;
-      br.exhausted = states[idx].exhausted;
+      br.label = buckets[idx].label;
+      br.score = buckets[idx].best.distance;
+      br.sketches_enumerated = buckets[idx].sketches;
+      br.handlers_scored = buckets[idx].handlers_scored;
+      br.exhausted = buckets[idx].exhausted;
       report.buckets.push_back(std::move(br));
     }
 
     // only-top-k with ties (§4.4): retain buckets whose score <= k-th score.
     if (static_cast<std::size_t>(k) < live.size()) {
-      const double kth = states[live[static_cast<std::size_t>(k) - 1]].best.distance;
+      const double kth = buckets[live[static_cast<std::size_t>(k) - 1]].best.distance;
       std::size_t cut = live.size();
       for (std::size_t i = static_cast<std::size_t>(k); i < live.size(); ++i) {
-        if (states[live[i]].best.distance > kth) {
+        if (buckets[live[i]].best.distance > kth) {
           cut = i;
           break;
         }
@@ -701,15 +598,14 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
     }
     for (auto& br : report.buckets) {
       br.retained = std::any_of(live.begin(), live.end(), [&](std::size_t idx) {
-        return states[idx].bucket.label == br.label;
+        return buckets[idx].label == br.label;
       });
     }
     report.seconds = iter_clock.elapsed_seconds();
-    // Convergence point: the pool has joined, so result.best is settled for
+    // Convergence point: the pass has joined, so result.best is settled for
     // this iteration and the run tallies are quiescent.
     report.best_distance = result.best.distance;
-    report.cache_hits = run_cache_hits.load(std::memory_order_relaxed);
-    report.cache_misses = run_cache_misses.load(std::memory_order_relaxed);
+    exec.cache_tallies(&report.cache_hits, &report.cache_misses);
     if (g_best_job != nullptr) g_best_job->set(report.best_distance);
     result.iterations.push_back(std::move(report));
     // Streamed progress for JobHandle subscribers; runs on this thread so
@@ -730,16 +626,19 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
 
     // Stop when every live bucket is already exhausted.
     const bool all_done = std::all_of(live.begin(), live.end(), [&](std::size_t idx) {
-      return states[idx].exhausted;
+      return buckets[idx].exhausted;
     });
     if (all_done) break;
 
     // Terminal exhaustive phase: one bucket left.
     if (live.size() == 1) {
-      std::vector<trace::Segment> final_working;
-      for (std::size_t idx : sampler.selected()) final_working.push_back(segments[idx]);
-      score_bucket(states[live[0]], opts.exhaustive_cap, iter, final_working);
-      fold_pass(live);
+      if (auto st = run_pass(opts.exhaustive_cap, iter); !st.is_ok()) {
+        if (!is_interrupt(st)) {
+          result.status = st;
+          return result;
+        }
+        mark_interrupted();
+      }
       break;
     }
 
@@ -776,7 +675,7 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
     std::mutex val_mu;
     ScoredHandler winner;
     std::size_t winner_idx = unique.size();
-    pool->parallel_for(unique.size(), [&](std::size_t i) {
+    exec.pool().parallel_for(unique.size(), [&](std::size_t i) {
       // Snapshot the winner's distance as the abandon bound: it only ever
       // shrinks, so a candidate abandoned against a stale value is also at
       // or above the final minimum and could never have been selected. The
@@ -792,8 +691,7 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
           total_distance(*unique[i].handler, validation, opts.metric, opts.dopts, {}, cutoff);
       std::lock_guard lk(val_mu);
       // Deterministic despite completion order: minimum by (distance,
-      // candidate index), which equals the coordinator's sequential
-      // first-wins fold over the same deduplicated candidate list.
+      // candidate index), the first-wins order of the candidate list.
       if (d < winner.distance || (d == winner.distance && i < winner_idx)) {
         winner = unique[i];
         winner.distance = d;
@@ -807,7 +705,7 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
   // (bucket 0 = none, iter = iterations completed) — validation itself is
   // not journaled, so this is the only event past the refinement loop.
   if (journal_run && result.best.valid() && result.best.sketch) {
-    obs::JournalScope scope(journal_job, 0,
+    obs::JournalScope scope(journal_job_id(opts), 0,
                             static_cast<std::uint32_t>(result.iterations.size()));
     obs::journal_record_selected(dsl::hash_expr(*result.best.sketch), result.best.fingerprint,
                                  result.best.distance,
@@ -816,12 +714,11 @@ SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment
     obs::journal_emit_trace_counters();
   }
 
-  for (const auto& st : states) {
-    result.total_sketches += st.sketches.size();
-    result.total_handlers_scored += st.handlers_scored;
+  for (const auto& b : buckets) {
+    result.total_sketches += b.sketches;
+    result.total_handlers_scored += b.handlers_scored;
   }
-  result.cache_hits = run_cache_hits.load(std::memory_order_relaxed);
-  result.cache_misses = run_cache_misses.load(std::memory_order_relaxed);
+  exec.cache_tallies(&result.cache_hits, &result.cache_misses);
   result.seconds = total_clock.elapsed_seconds();
   return result;
 }

@@ -5,6 +5,12 @@
 //       bucket-score = min distance over concretized handlers
 //     keep only the top-k buckets; N *= 8; k /= 2; working segments += 2
 //
+// synthesize() is the one driver of this loop. It owns the N/k schedule, the
+// working-set sampler, checkpoints, the top-k cut, the fold of bucket bests
+// and the final validation; a PassExecutor runs the per-bucket passes, either
+// in this process (synth::LocalExecutor) or on distributed workers (the
+// remote executor in src/dist/).
+//
 // Every iteration is recorded in an IterationReport so the §6.1 / §6.2 /
 // Table 4 accounting (bucket ranks, handlers scored, space explored) can be
 // reproduced from a single synthesis run.
@@ -38,6 +44,7 @@ class ThreadPool;
 namespace abg::synth {
 
 struct IterationReport;
+struct BucketCheckpoint;
 
 struct SynthesisOptions {
   distance::Metric metric = distance::Metric::kDtw;
@@ -248,8 +255,52 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
                            std::size_t* handlers_scored = nullptr,
                            EvalContext* ctx = nullptr);
 
-// Run the full refinement loop over the DSL and segment pool.
+// What the driver reads back from one bucket after a pass.
+struct BucketSummary {
+  std::string label;
+  ScoredHandler best;  // best under the working set of the bucket's last pass
+  std::size_t sketches = 0;
+  std::size_t handlers_scored = 0;
+  bool exhausted = false;
+};
+
+// How the driver reaches the buckets of a search. Buckets are indexed in
+// make_buckets order.
+class PassExecutor {
+ public:
+  PassExecutor() = default;
+  PassExecutor(const PassExecutor&) = delete;
+  PassExecutor& operator=(const PassExecutor&) = delete;
+  virtual ~PassExecutor() = default;
+
+  virtual std::size_t bucket_count() const = 0;
+  // Run one pass over `buckets` (indices, in live order): enumerate each to
+  // `target` sketches, then re-score all its sketches under the working set
+  // (`working` indexes the segment pool; empty = the whole pool). `iter`
+  // attributes the pass in the journal. Fills `complete` with the buckets
+  // whose pass result may be folded, in the given order. Returns ok, the
+  // token's interrupt (kCancelled/kTimeout) when `tok` fired during the
+  // pass, or a hard error.
+  virtual util::Status run_pass(const std::vector<std::size_t>& buckets, std::size_t target,
+                                const std::vector<std::size_t>& working, int iter,
+                                const util::CancellationToken& tok,
+                                std::vector<std::size_t>* complete) = 0;
+  virtual BucketSummary summary(std::size_t bucket) const = 0;
+  virtual BucketCheckpoint snapshot(std::size_t bucket) const = 0;
+  virtual util::Status restore(std::size_t bucket, const BucketCheckpoint& ck) = 0;
+  // The run's cumulative memo-cache traffic.
+  virtual void cache_tallies(std::uint64_t* hits, std::uint64_t* misses) = 0;
+  // Where final validation runs.
+  virtual util::ThreadPool& pool() = 0;
+};
+
+// Run the full refinement loop over the DSL and segment pool, in process.
 SynthesisResult synthesize(const dsl::Dsl& dsl, const std::vector<trace::Segment>& segments,
                            const SynthesisOptions& opts = {});
+
+// The driver itself, over any executor. `opts` must already be validated,
+// with effective_distance_options folded into opts.dopts.
+SynthesisResult synthesize(const std::vector<trace::Segment>& segments,
+                           const SynthesisOptions& opts, PassExecutor& exec);
 
 }  // namespace abg::synth

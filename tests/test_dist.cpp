@@ -7,6 +7,7 @@
 // /v1 HTTP surface with Deprecation headers on legacy spellings.
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <random>
@@ -26,7 +27,9 @@
 #include "obs/registry.hpp"
 #include "obs/status_server.hpp"
 #include "synth/buckets.hpp"
+#include "synth/checkpoint.hpp"
 #include "trace/trace_io.hpp"
+#include "util/cancellation.hpp"
 #include "util/status.hpp"
 
 namespace abg {
@@ -251,6 +254,64 @@ TEST(Dist, WorkerDeathMidSearchReassignsAndMatchesWinner) {
   EXPECT_GE(c_lost.value(), lost_before + 1);
   EXPECT_GE(c_reassigned.value(), reassigned_before + 1);
   expect_bit_identical(golden, got);
+}
+
+// --- Checkpoints move between executors. -------------------------------------
+
+// Run `spec` on three workers with a checkpoint at `ckpt`, cancelled through
+// the caller's token while the second iteration is reported — after the
+// checkpoint of the first completed iteration was written.
+api::JobResult interrupted_three_worker_run(api::JobSpec spec, const std::string& ckpt) {
+  std::remove(ckpt.c_str());
+  Fleet fleet(3);
+  util::CancellationToken token;
+  int reports = 0;
+  spec.with_checkpoint(ckpt).with_iteration_callback([&](const synth::IterationReport&) {
+    if (++reports == 2) token.cancel();
+  });
+  dist::Coordinator coord(quick_copts(fleet));
+  return coord.run(spec, &token);
+}
+
+TEST(Dist, InterruptedRunResumesInProcessBitIdentical) {
+  const api::JobSpec spec = quick_spec();
+  const api::JobResult golden = run_single(spec);
+  ASSERT_GE(golden.pipeline.synthesis.iterations.size(), 2u);
+
+  const std::string ckpt = testing::TempDir() + "abg_dist_cross_resume.ckpt";
+  const api::JobResult cut = interrupted_three_worker_run(spec, ckpt);
+  EXPECT_EQ(cut.status.code(), util::StatusCode::kCancelled) << cut.status.to_string();
+  EXPECT_TRUE(cut.pipeline.synthesis.partial);
+  const auto ck = synth::load_checkpoint(ckpt);
+  ASSERT_TRUE(ck.ok()) << ck.status().to_string();
+  EXPECT_EQ(ck->next_iter, 1);
+
+  api::JobSpec resume = spec;
+  resume.with_checkpoint(ckpt, /*resume=*/true);
+  expect_bit_identical(golden, run_single(resume));
+}
+
+TEST(Dist, ResumeRejectsCandidateWithoutHandlerUnderBothExecutors) {
+  const api::JobSpec spec = quick_spec();
+  const std::string ckpt = testing::TempDir() + "abg_dist_blank_cand.ckpt";
+  (void)interrupted_three_worker_run(spec, ckpt);
+  // Jump straight to final validation, with the first candidate blanked.
+  auto ck = synth::load_checkpoint(ckpt);
+  ASSERT_TRUE(ck.ok()) << ck.status().to_string();
+  ASSERT_FALSE(ck->candidates.empty());
+  ck->next_iter = spec.pipeline.synth.max_iterations;
+  ck->candidates.front().sketch.clear();
+  ck->candidates.front().handler.clear();
+  ASSERT_TRUE(synth::save_checkpoint(*ck, ckpt).is_ok());
+
+  api::JobSpec resume = spec;
+  resume.with_checkpoint(ckpt, /*resume=*/true);
+  const api::JobResult local = run_single(resume);
+  EXPECT_EQ(local.status.code(), util::StatusCode::kParseError) << local.status.to_string();
+  Fleet fleet(2);
+  dist::Coordinator coord(quick_copts(fleet));
+  const api::JobResult remote = coord.run(resume);
+  EXPECT_EQ(remote.status.code(), util::StatusCode::kParseError) << remote.status.to_string();
 }
 
 TEST(Dist, AllWorkersLostFailsCleanly) {

@@ -329,6 +329,37 @@ TEST(Checkpoint, ResumeRejectsMismatchedSeed) {
   EXPECT_FALSE(result.best.valid());
 }
 
+TEST(Checkpoint, ResumeRejectsCandidateWithoutHandler) {
+  auto segs = reno_segments();
+  const std::string ckpt = testing::TempDir() + "/abg_blank_cand_ckpt.txt";
+  std::remove(ckpt.c_str());
+  {
+    util::fault::Config cfg;
+    cfg.cancel_after_iterations = 1;
+    FaultGuard guard(cfg);
+    SynthesisOptions opts = quick_opts();
+    opts.checkpoint_path = ckpt;
+    (void)synthesize(dsl::reno_dsl(), segs, opts);
+  }
+  // Jump straight to final validation, with the first candidate's sketch and
+  // handler fields blanked: the file still parses, but the candidate has no
+  // handler to validate.
+  auto ck = load_checkpoint(ckpt);
+  ASSERT_TRUE(ck.ok()) << ck.status().to_string();
+  ASSERT_FALSE(ck->candidates.empty());
+  ck->next_iter = quick_opts().max_iterations;
+  ck->candidates.front().sketch.clear();
+  ck->candidates.front().handler.clear();
+  ASSERT_TRUE(save_checkpoint(*ck, ckpt).is_ok());
+
+  SynthesisOptions opts = quick_opts();
+  opts.checkpoint_path = ckpt;
+  opts.resume = true;
+  auto result = synthesize(dsl::reno_dsl(), segs, opts);
+  EXPECT_EQ(result.status.code(), StatusCode::kParseError) << result.status.to_string();
+  EXPECT_FALSE(result.best.valid());
+}
+
 TEST(Checkpoint, ResumeWithoutFileStartsFresh) {
   SynthesisOptions opts = quick_opts();
   opts.checkpoint_path = testing::TempDir() + "/abg_fresh_ckpt.txt";

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "api/engine.hpp"
 #include "classify/classifier.hpp"
 #include "core/abagnale.hpp"
 #include "net/simulator.hpp"
@@ -98,10 +99,25 @@ core::PipelineOptions tiny_pipeline_opts() {
   return o;
 }
 
+api::JobSpec pipeline_spec(const core::PipelineOptions& opts,
+                           const std::vector<trace::Trace>& traces) {
+  api::JobSpec spec;
+  spec.pipeline = opts;
+  for (const auto& t : traces) spec.add_trace(t);
+  return spec;
+}
+
+api::JobResult run_pipeline(const core::PipelineOptions& opts,
+                            const std::vector<trace::Trace>& traces) {
+  api::Engine engine({.threads = 2, .max_concurrent_jobs = 1});
+  auto handle = engine.submit(pipeline_spec(opts, traces));
+  EXPECT_TRUE(handle.ok()) << handle.status().to_string();
+  return handle->wait();
+}
+
 TEST(Pipeline, EndToEndOnReno) {
-  core::Abagnale pipeline(tiny_pipeline_opts());
   auto traces = net::collect_traces("reno", tiny_envs(733));
-  auto result = pipeline.run(traces);
+  const auto result = run_pipeline(tiny_pipeline_opts(), traces).pipeline;
   EXPECT_EQ(result.classification.label, "reno");
   EXPECT_EQ(result.dsl_name, "reno");
   EXPECT_GT(result.segments_total, 0u);
@@ -113,9 +129,8 @@ TEST(Pipeline, EndToEndOnReno) {
 TEST(Pipeline, DslOverrideSkipsClassifier) {
   auto opts = tiny_pipeline_opts();
   opts.dsl_override = "reno";
-  core::Abagnale pipeline(opts);
   auto traces = net::collect_traces("scalable", tiny_envs(733));
-  auto result = pipeline.run(traces);
+  const auto result = run_pipeline(opts, traces).pipeline;
   EXPECT_EQ(result.dsl_name, "reno");
   EXPECT_TRUE(result.classification.label.empty());  // classifier skipped
   EXPECT_TRUE(result.found());
@@ -125,12 +140,12 @@ TEST(Pipeline, WarmupTrimShrinksSegmentPool) {
   auto traces = net::collect_traces("reno", tiny_envs(733));
   auto opts = tiny_pipeline_opts();
   opts.dsl_override = "reno";
-  opts.synth.max_iterations = 1;
   opts.warmup_s = 0.0;
-  const auto untrimmed = core::Abagnale(opts).run(traces).segments_total;
+  const auto untrimmed = api::prepare(pipeline_spec(opts, traces));
   opts.warmup_s = 4.0;
-  const auto trimmed = core::Abagnale(opts).run(traces).segments_total;
-  EXPECT_LT(trimmed, untrimmed);
+  const auto trimmed = api::prepare(pipeline_spec(opts, traces));
+  ASSERT_TRUE(untrimmed.ok() && trimmed.ok());
+  EXPECT_LT(trimmed->segments.size(), untrimmed->segments.size());
 }
 
 }  // namespace
