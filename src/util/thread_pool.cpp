@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/registry.hpp"
-#include "obs/trace_events.hpp"
 
 namespace abg::util {
 
@@ -96,11 +95,10 @@ void ThreadPool::worker_loop(std::size_t self) {
                          std::chrono::steady_clock::now() - task.enqueued)
                          .count());
       c_executed.add();
-      // Install the submitter's context (stolen tasks included), then open
-      // the pool.task span inside it so it nests under the submitting span
-      // on the submitting job's lane.
+      // Install the submitter's context (stolen tasks included): the task
+      // body opens its pool.task span inside it, so the span nests under
+      // the submitting span on the submitting job's lane.
       obs::ContextScope scope(task.ctx);
-      obs::TraceSpan span("pool.task", "pool");
       task.fn();
       continue;
     }

@@ -47,7 +47,13 @@ class ThreadPool {
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
+    // The pool.task span closes before the packaged_task publishes the
+    // result, so a caller woken by the future finds the span recorded.
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [fn = std::forward<F>(f)]() mutable -> R {
+          obs::Span span("pool.task", "pool");
+          return fn();
+        });
     std::future<R> fut = task->get_future();
     enqueue([task]() { (*task)(); });
     return fut;
@@ -83,7 +89,9 @@ class ThreadPool {
     // touches this pointer.
     auto* f = std::addressof(fn);
     const std::size_t total = n;
+    // Claims and runs indices until none are left; returns how many it ran.
     auto drain = [ctl, f, total] {
+      std::size_t finished = 0;
       std::size_t i;
       while ((i = ctl->next.fetch_add(1, std::memory_order_relaxed)) < total) {
         try {
@@ -92,15 +100,32 @@ class ThreadPool {
           std::lock_guard lk(ctl->mu);
           if (!ctl->error) ctl->error = std::current_exception();
         }
-        if (ctl->done.fetch_add(1, std::memory_order_acq_rel) + 1 == total) {
-          std::lock_guard lk(ctl->mu);
-          ctl->cv.notify_all();
-        }
+        ++finished;
+      }
+      return finished;
+    };
+    // The report that completes the count wakes the caller.
+    auto report = [ctl, total](std::size_t finished) {
+      if (finished == 0) return;
+      if (ctl->done.fetch_add(finished, std::memory_order_acq_rel) + finished == total) {
+        std::lock_guard lk(ctl->mu);
+        ctl->cv.notify_all();
       }
     };
     const std::size_t helpers = std::min(n - 1, size());
-    for (std::size_t h = 0; h < helpers; ++h) enqueue(drain);
-    drain();
+    for (std::size_t h = 0; h < helpers; ++h) {
+      enqueue([drain, report] {
+        std::size_t finished;
+        {
+          // Closed before the report, so the caller, once woken, finds
+          // every helper's pool.task span recorded.
+          obs::Span span("pool.task", "pool");
+          finished = drain();
+        }
+        report(finished);
+      });
+    }
+    report(drain());
     std::unique_lock lk(ctl->mu);
     ctl->cv.wait(lk, [&] { return ctl->done.load(std::memory_order_acquire) >= total; });
     if (ctl->error) std::rethrow_exception(ctl->error);

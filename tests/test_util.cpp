@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <mutex>
 #include <set>
+#include <vector>
 
+#include "util/background.hpp"
 #include "util/csv.hpp"
 #include "util/retry.hpp"
 #include "util/rng.hpp"
@@ -112,6 +116,28 @@ TEST(Rng, ForkProducesIndependentStream) {
   Rng a(23);
   Rng child = a.fork();
   EXPECT_NE(a.next_u64(), child.next_u64());
+}
+
+TEST(Background, RunsJobsInSubmissionOrderOffTheCallingThread) {
+  std::mutex mu;
+  std::vector<int> order;
+  std::vector<std::thread::id> threads;
+  for (int i = 0; i < 8; ++i) {
+    run_in_background([&, i] {
+      std::lock_guard lk(mu);
+      order.push_back(i);
+      threads.push_back(std::this_thread::get_id());
+    });
+  }
+  std::promise<void> drained;
+  run_in_background([&] { drained.set_value(); });
+  drained.get_future().wait();
+  std::lock_guard lk(mu);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  for (const auto& id : threads) {
+    EXPECT_NE(id, std::this_thread::get_id());
+    EXPECT_EQ(id, threads.front());  // one background thread
+  }
 }
 
 TEST(ThreadPool, RunsAllTasks) {
