@@ -9,13 +9,11 @@
 #include "dsl/bytecode.hpp"
 #include "dsl/eval.hpp"
 #include "dsl/known_handlers.hpp"
-#include "dsl/simplify.hpp"
 #include "dsl/units.hpp"
 #include "net/simulator.hpp"
 #include "obs/report.hpp"
 #include "synth/batch_eval.hpp"
 #include "synth/enumerator.hpp"
-#include "synth/eval_cache.hpp"
 #include "synth/replay.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -84,20 +82,6 @@ void BM_DtwEarlyAbandon(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DtwEarlyAbandon)->Range(64, 1024);
-
-// The memo-cache probe on the synthesis hot path: canonicalize + hash +
-// sharded lookup. Compare with BM_SegmentDistance to see what a hit saves.
-void BM_EvalCacheHit(benchmark::State& state) {
-  synth::EvalCache cache;
-  const auto handler = dsl::known_handlers("vegas").fine_tuned;
-  const auto canon = dsl::canonicalize(handler);
-  cache.insert(42, dsl::hash_expr(*canon), canon, 1.25);
-  for (auto _ : state) {
-    const auto c = dsl::canonicalize(handler);
-    benchmark::DoNotOptimize(cache.lookup(42, dsl::hash_expr(*c), *c));
-  }
-}
-BENCHMARK(BM_EvalCacheHit);
 
 void BM_Euclidean(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -286,8 +270,8 @@ BENCHMARK(BM_ParallelForDispatch)->Range(1, 4096);
 }  // namespace
 
 // Same contract as the table/figure benches: leave an obs run report next to
-// the timings so CI can archive counter context (DTW evals, cache hits,
-// early abandons) alongside the google-benchmark JSON.
+// the timings so CI can archive counter context (DTW evals, early
+// abandons) alongside the google-benchmark JSON.
 int main(int argc, char** argv) {
   abg::obs::write_metrics_json_at_exit("bench_micro.metrics.json");
   benchmark::Initialize(&argc, argv);

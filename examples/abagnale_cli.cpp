@@ -11,8 +11,8 @@
 //   abagnale_cli --batch <manifest.json>      (batch sweep via api::Engine)
 //
 // Batch mode runs every job in the manifest through one api::Engine — one
-// shared scoring pool and one shared eval cache — prints a per-job section
-// with the job's status/exit class/cache traffic, and exits with the first
+// shared scoring pool — prints a per-job section with the job's status/exit
+// class/time, and exits with the first
 // failing job's exit class (0 when every job succeeded). With "report" set
 // in the manifest, a consolidated JSON run report (per-job results plus the
 // full metrics registry) is written there.
@@ -72,7 +72,7 @@ int usage() {
                "  abagnale_cli list\n"
                "  abagnale_cli collect <cca> <out.csv> [bw_mbps rtt_ms dur_s loss xt_mbps]\n"
                "  abagnale_cli classify <trace.csv>...\n"
-               "  abagnale_cli synthesize [--dsl <name>] [--timeout <s>] [--no-fast-path]\n"
+               "  abagnale_cli synthesize [--dsl <name>] [--timeout <s>]\n"
                "                [--simd <scalar|sse2|avx2|auto>]\n"
                "                [--checkpoint <state>] [--resume] <trace.csv>...\n"
                "  abagnale_cli match <cca> <trace.csv>...\n"
@@ -215,16 +215,6 @@ int cmd_synthesize(int argc, char** argv) {
   bool has_checkpoint = false;
   int first = 2;
   while (first < argc && argv[first][0] == '-') {
-    if (std::strcmp(argv[first], "--no-fast-path") == 0) {
-      // Reference configuration: score every candidate from scratch (no memo
-      // cache, no early abandoning, no batched bytecode replay). Results are
-      // identical either way — this exists to measure the fast path, not to
-      // change behavior.
-      w.key("fast_path");
-      w.value(false);
-      first += 1;
-      continue;
-    }
     if (std::strcmp(argv[first], "--resume") == 0) {
       w.key("resume");
       w.value(true);
@@ -359,9 +349,7 @@ void print_job_section(const api::JobResult& r, std::size_t index, std::size_t t
   } else {
     std::printf("no handler found\n");
   }
-  std::printf("cache: %llu hits / %llu misses; %.2fs\n",
-              static_cast<unsigned long long>(r.cache_hits),
-              static_cast<unsigned long long>(r.cache_misses), r.seconds);
+  std::printf("time: %.2fs\n", r.seconds);
 }
 
 // Consolidated run report: per-job results plus one snapshot of the global
@@ -378,8 +366,6 @@ bool write_batch_report(const std::string& path, const api::Engine& engine,
   w.value(static_cast<std::uint64_t>(engine.options().threads));
   w.key("max_concurrent_jobs");
   w.value(static_cast<std::uint64_t>(engine.options().max_concurrent_jobs));
-  w.key("share_eval_cache");
-  w.value(engine.options().share_eval_cache);
   w.end_object();
   w.key("total_seconds");
   w.value(total_seconds);
@@ -413,10 +399,6 @@ bool write_batch_report(const std::string& path, const api::Engine& engine,
     }
     w.key("segments_total");
     w.value(static_cast<std::uint64_t>(r->segments_total));
-    w.key("cache_hits");
-    w.value(r->cache_hits);
-    w.key("cache_misses");
-    w.value(r->cache_misses);
     w.key("seconds");
     w.value(r->seconds);
     // Per-iteration convergence series (ISSUE 5): plotting a paper-style
@@ -475,9 +457,8 @@ int cmd_batch(const char* manifest_path) {
   util::Stopwatch clock;
   api::Engine engine(manifest->engine);
   JobsProviderScope jobs_provider([&engine] { return engine.jobs_json(); });
-  std::printf("batch: %zu jobs on %zu threads (%zu concurrent, cache %s)\n", total,
-              engine.options().threads, engine.options().max_concurrent_jobs,
-              engine.options().share_eval_cache ? "shared" : "per-job");
+  std::printf("batch: %zu jobs on %zu threads (%zu concurrent)\n", total,
+              engine.options().threads, engine.options().max_concurrent_jobs);
   auto handles = engine.submit_all(std::move(manifest->jobs));
   if (!handles.ok()) {
     std::fprintf(stderr, "batch rejected: %s\n", handles.status().to_string().c_str());

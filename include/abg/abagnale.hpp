@@ -28,7 +28,6 @@
 // Pipeline types and search internals, for callers that need finer-grained
 // control than a JobSpec exposes.
 #include "core/abagnale.hpp"
-#include "synth/eval_cache.hpp"
 #include "synth/mister880.hpp"
 #include "synth/refinement.hpp"
 

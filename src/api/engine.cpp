@@ -45,8 +45,6 @@ struct JobInner {
   struct Progress {
     std::atomic<int> iterations{0};
     std::atomic<double> best_distance{std::numeric_limits<double>::infinity()};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> cache_misses{0};
     std::atomic<double> elapsed_s{0.0};
   };
   Progress progress;
@@ -128,8 +126,6 @@ void record_synthesis(PreparedJob job, synth::SynthesisResult synthesis, JobResu
   out->pipeline.synthesis = std::move(synthesis);
   out->segments_total = job.segments.size();
   out->status = out->pipeline.synthesis.status;
-  out->cache_hits = out->pipeline.synthesis.cache_hits;
-  out->cache_misses = out->pipeline.synthesis.cache_misses;
   // Built from the recorded iteration reports rather than the streamed
   // callbacks, so checkpoint-restored iterations (which are not replayed
   // through on_iteration) are included and the series always matches the
@@ -282,8 +278,6 @@ std::vector<JobSnapshot> Engine::jobs_snapshot() const {
       if (r.kind == JobSpec::Kind::kPipeline && r.pipeline.found()) {
         s.best_distance = r.pipeline.synthesis.best.distance;
       }
-      s.cache_hits = r.cache_hits;
-      s.cache_misses = r.cache_misses;
       s.elapsed_s = r.seconds;
       s.found = r.found();
       s.exit_class = r.exit_class();
@@ -291,8 +285,6 @@ std::vector<JobSnapshot> Engine::jobs_snapshot() const {
       const auto& p = j->progress;
       s.iterations = p.iterations.load(std::memory_order_relaxed);
       s.best_distance = p.best_distance.load(std::memory_order_relaxed);
-      s.cache_hits = p.cache_hits.load(std::memory_order_relaxed);
-      s.cache_misses = p.cache_misses.load(std::memory_order_relaxed);
       s.elapsed_s = p.elapsed_s.load(std::memory_order_relaxed);
       if (s.iterations > 0 && s.planned_iterations > s.iterations && s.elapsed_s > 0) {
         s.eta_s = s.elapsed_s / s.iterations * (s.planned_iterations - s.iterations);
@@ -320,12 +312,6 @@ std::string Engine::jobs_json() const {
     w.value(static_cast<std::int64_t>(s.planned_iterations));
     w.key("best_distance");
     w.value(s.best_distance);  // +inf (no candidate yet) renders as null
-    w.key("cache_hits");
-    w.value(static_cast<std::uint64_t>(s.cache_hits));
-    w.key("cache_misses");
-    w.value(static_cast<std::uint64_t>(s.cache_misses));
-    w.key("cache_hit_rate");
-    w.value(s.cache_hit_rate());
     w.key("elapsed_s");
     w.value(s.elapsed_s);
     w.key("eta_s");
@@ -389,12 +375,10 @@ void Engine::run_job(detail::JobInner& job) {
   JobResult& out = job.result;
 
   // Inject the shared infrastructure. The spec's own options stay authoritative
-  // for everything that affects the search result; only the executor, memo
-  // cache, cancellation, and progress plumbing are engine-provided.
+  // for everything that affects the search result; only the executor,
+  // cancellation, and progress plumbing are engine-provided.
   core::PipelineOptions popts = job.spec.pipeline;
   popts.synth.pool = &pool_;
-  popts.synth.shared_cache =
-      (opts_.share_eval_cache && popts.synth.use_eval_cache) ? &cache_ : nullptr;
   popts.synth.cancel = &job.token;
 
   // Labeled metric series for this run: {job=<name>[, cca=<dsl>]}. The synth
@@ -415,8 +399,6 @@ void Engine::run_job(detail::JobInner& job) {
     auto& p = job.progress;
     p.iterations.fetch_add(1, std::memory_order_relaxed);
     p.best_distance.store(rep.best_distance, std::memory_order_relaxed);
-    p.cache_hits.store(rep.cache_hits, std::memory_order_relaxed);
-    p.cache_misses.store(rep.cache_misses, std::memory_order_relaxed);
     p.elapsed_s.store(clock.elapsed_seconds(), std::memory_order_relaxed);
     if (user_cb) user_cb(rep);
   };

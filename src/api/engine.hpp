@@ -1,7 +1,6 @@
 // The batch synthesis engine (ISSUE 4 tentpole). One Engine owns the
-// process's synthesis infrastructure — a work-stealing util::ThreadPool, a
-// cross-job synth::EvalCache, and the obs metrics registry it reports from —
-// and runs any number of submitted jobs against it concurrently:
+// process's synthesis infrastructure — a work-stealing util::ThreadPool and
+// the obs metrics registry it reports from — and runs any number of submitted jobs against it concurrently:
 //
 //   api::Engine engine({.threads = 8, .max_concurrent_jobs = 4});
 //   auto handle = engine.submit(std::move(spec));      // eager validation
@@ -15,9 +14,7 @@
 // steal oldest-first, so a 23-CCA sweep keeps every core busy instead of
 // serializing one job's cold start after another; each driver also executes
 // its own job's tasks (caller-runs), so a driver can never be starved by its
-// peers. Sharing the EvalCache never changes results — entries are exact and
-// keyed by (segment-set fingerprint, canonical handler) — it only converts
-// repeated evaluations in later jobs into lookups.
+// peers.
 #pragma once
 
 #include <atomic>
@@ -33,7 +30,6 @@
 #include <vector>
 
 #include "api/job.hpp"
-#include "synth/eval_cache.hpp"
 #include "util/cancellation.hpp"
 #include "util/result.hpp"
 #include "util/thread_pool.hpp"
@@ -47,9 +43,6 @@ struct EngineOptions {
   // size). More drivers improve interleaving for many small jobs; fewer keep
   // per-job wall-clock closer to a standalone run.
   std::size_t max_concurrent_jobs = 0;
-  // Share one EvalCache across all jobs (bit-identical results either way;
-  // off restores fully isolated per-job caches).
-  bool share_eval_cache = true;
 };
 
 enum class JobState { kQueued, kRunning, kDone };
@@ -67,19 +60,12 @@ struct JobSnapshot {
   int iterations = 0;               // refinement iterations completed
   int planned_iterations = 0;       // SynthesisOptions::max_iterations budget
   double best_distance = std::numeric_limits<double>::infinity();
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   double elapsed_s = 0.0;
   // Naive remaining-time estimate: elapsed/iterations × iterations left.
   // Negative means unknown (queued, no iterations yet, or already done).
   double eta_s = -1.0;
   bool found = false;   // meaningful once state == kDone
   int exit_class = 0;   // meaningful once state == kDone
-
-  double cache_hit_rate() const {
-    const double total = static_cast<double>(cache_hits + cache_misses);
-    return total > 0 ? static_cast<double>(cache_hits) / total : 0.0;
-  }
 };
 
 namespace detail {
@@ -141,7 +127,6 @@ class Engine {
   // Resolved configuration and shared state (mainly for tests/reports).
   const EngineOptions& options() const { return opts_; }
   util::ThreadPool& pool() { return pool_; }
-  synth::EvalCache& eval_cache() { return cache_; }
   std::size_t jobs_submitted() const;
 
   // Live introspection (ISSUE 5). Both walk a copy-on-write published job
@@ -158,7 +143,6 @@ class Engine {
 
   EngineOptions opts_;  // resolved (threads/max_concurrent_jobs concrete)
   util::ThreadPool pool_;
-  synth::EvalCache cache_;
 
   mutable std::mutex mu_;          // guards queue_, jobs_, counters
   std::condition_variable cv_;     // queue became non-empty / stopping

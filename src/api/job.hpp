@@ -170,7 +170,7 @@ struct JobResult {
   synth::Mister880Result mister880;
   std::size_t segments_total = 0;
 
-  // Per-job accounting, stable even when jobs share one EvalCache.
+  // Always 0 since the memo cache was removed; perfbench/cpp/main.cpp reads them.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   double seconds = 0.0;
@@ -204,7 +204,7 @@ struct PreparedJob {
 util::Result<PreparedJob> prepare(const JobSpec& spec);
 
 // Record a finished pipeline search into `out`: the pipeline payload, the
-// job status, the per-job cache tallies and the convergence series.
+// job status and the convergence series.
 void record_synthesis(PreparedJob job, synth::SynthesisResult synthesis, JobResult* out);
 
 }  // namespace abg::api

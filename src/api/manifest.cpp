@@ -193,13 +193,11 @@ util::Status spec_from_json(const util::JsonValue& j, JobSpec* spec) {
     return st;
   }
 
+  // "fast_path" selected between evaluation paths that no longer exist.
+  // Specs stored before its removal still carry it, so it is still
+  // type-checked and then ignored.
   bool fast_path = true;
   if (auto st = read_bool(j, "fast_path", &fast_path); !st.is_ok()) return st;
-  synth.use_eval_cache = fast_path;
-  synth.early_abandon = fast_path;
-  // The batched bytecode path is part of the same "how much work, same
-  // result" family, so the one manifest knob governs all three.
-  synth.batch_replay = fast_path;
 
   // "simd": pin this job's DTW kernel tier ("scalar"/"sse2"/"avx2"/"auto").
   // Default auto defers to ABG_SIMD and CPU detection; an unknown name is a
@@ -296,8 +294,6 @@ std::string spec_to_json(const JobSpec& spec) {
   w.value(spec.pipeline.warmup_s);
   w.key("min_segment_samples");
   w.value(static_cast<std::uint64_t>(spec.pipeline.min_segment_samples));
-  w.key("fast_path");
-  w.value(synth.use_eval_cache && synth.early_abandon && synth.batch_replay);
   if (synth.simd != distance::Simd::kAuto) {
     w.key("simd");
     w.value(distance::simd_name(synth.simd));
@@ -321,8 +317,8 @@ namespace {
 util::Result<Manifest> parse_manifest_doc(const util::JsonValue& doc) {
   if (!doc.is_object()) return bad("manifest must be a JSON object");
 
-  static const std::set<std::string> top_keys = {"threads", "max_concurrent_jobs",
-                                                "share_eval_cache", "report", "jobs"};
+  static const std::set<std::string> top_keys = {"threads", "max_concurrent_jobs", "report",
+                                                "jobs"};
   for (const auto& [key, value] : doc.members()) {
     (void)value;
     if (!top_keys.count(key)) return bad("unknown manifest key '" + key + "'");
@@ -332,9 +328,6 @@ util::Result<Manifest> parse_manifest_doc(const util::JsonValue& doc) {
   if (auto st = read_size(doc, "threads", &m.engine.threads); !st.is_ok()) return st;
   if (auto st = read_size(doc, "max_concurrent_jobs", &m.engine.max_concurrent_jobs);
       !st.is_ok()) {
-    return st;
-  }
-  if (auto st = read_bool(doc, "share_eval_cache", &m.engine.share_eval_cache); !st.is_ok()) {
     return st;
   }
   if (auto st = read_string(doc, "report", &m.report_path); !st.is_ok()) return st;

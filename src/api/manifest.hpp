@@ -4,7 +4,6 @@
 //   {
 //     "threads": 8,                  // optional, 0/absent = hardware
 //     "max_concurrent_jobs": 4,     // optional, 0/absent = min(4, threads)
-//     "share_eval_cache": true,     // optional, default true
 //     "report": "report.json",      // optional consolidated-report path
 //     "jobs": [
 //       {
@@ -19,7 +18,7 @@
 //         "concretize_budget": 24,
 //         "max_depth": 4, "max_nodes": 9,   // null = unbounded
 //         "max_holes": 3, "warmup_s": 2.0, "min_segment_samples": 20,
-//         "fast_path": true, "repair_traces": false,
+//         "repair_traces": false,
 //         "checkpoint": "state.bin", "resume": false,
 //         "journal": true,          // participate in --journal-out recording
 //         "simd": "auto",           // scalar | sse2 | avx2 | auto
@@ -75,9 +74,9 @@ util::Result<JobSpec> parse_job_spec(std::string_view json_text);
 // parses back to infinity; max_depth/max_nodes serialize as null when
 // unbounded. seed serializes as a decimal string (a JSON double cannot carry
 // a full u64 bit-exactly; numbers are still accepted on parse for legacy
-// manifests). fast_path collapses the three work-saving knobs
-// (use_eval_cache / early_abandon / batch_replay) to their conjunction, as
-// the parse side has always fanned one key into all three.
+// manifests). The retired key "fast_path" is still accepted (it must be a
+// bool) and ignored, so specs stored before its removal keep loading; it is
+// never emitted.
 util::Status spec_from_json(const util::JsonValue& j, JobSpec* spec);
 util::Result<JobSpec> spec_from_json(std::string_view json_text);
 std::string spec_to_json(const JobSpec& spec);

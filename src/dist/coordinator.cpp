@@ -15,7 +15,6 @@
 #include "obs/registry.hpp"
 #include "synth/buckets.hpp"
 #include "synth/checkpoint.hpp"
-#include "synth/eval_cache.hpp"
 #include "synth/shard.hpp"
 #include "util/csv.hpp"
 #include "util/json_parse.hpp"
@@ -457,30 +456,6 @@ class RemoteExecutor final : public synth::PassExecutor {
     return util::Status::ok();
   }
 
-  // Sum of the workers' cumulative cache tallies (best effort: a dead
-  // worker's counts are simply absent — the stats are observability, not
-  // results).
-  void cache_tallies(std::uint64_t* hits, std::uint64_t* misses) override {
-    *hits = 0;
-    *misses = 0;
-    for (std::size_t wi = 0; wi < run_.workers.size(); ++wi) {
-      if (!run_.workers[wi].alive) continue;
-      auto r = rpc(run_, wi, "GET", "/shard/status", "");
-      if (!r.ok()) continue;
-      auto doc = util::parse_json(r->body);
-      if (!doc.ok()) continue;
-      std::uint64_t h = 0, m = 0;
-      if (const auto* v = doc->find("cache_hits"); v != nullptr) {
-        (void)u64_from_json(*v, "cache_hits", &h);
-      }
-      if (const auto* v = doc->find("cache_misses"); v != nullptr) {
-        (void)u64_from_json(*v, "cache_misses", &m);
-      }
-      *hits += h;
-      *misses += m;
-    }
-  }
-
   // Final validation runs here, on the coordinator.
   util::ThreadPool& pool() override {
     if (!pool_) {
@@ -579,7 +554,7 @@ api::JobResult Coordinator::run(const api::JobSpec& spec,
   opts.on_iteration = spec.on_iteration;
 
   Run run(opts_);
-  run.pool_fingerprint = synth::segment_set_fingerprint(prepared->segments);
+  run.pool_fingerprint = synth::segment_pool_fingerprint(prepared->segments);
   for (const auto& ep : opts_.workers) {
     WorkerView wv;
     wv.ep = ep;

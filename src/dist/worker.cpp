@@ -281,14 +281,6 @@ obs::HttpResponse Worker::handle_status(const obs::HttpRequest&) {
   w.value(epoch_);
   w.key("pass_id");
   w.value(pass_id_);
-  if (engine_ != nullptr) {
-    std::uint64_t hits = 0, misses = 0;
-    engine_->cache_tallies(&hits, &misses);
-    w.key("cache_hits");
-    write_u64(w, hits);
-    w.key("cache_misses");
-    write_u64(w, misses);
-  }
   if (state_ == State::kDone) {
     if (pass_status_.is_ok()) {
       w.key("checkpoints");

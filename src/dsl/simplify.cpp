@@ -128,8 +128,6 @@ int compare(const Expr& a, const Expr& b) {
   return 0;
 }
 
-std::size_t canonical_hash(const ExprPtr& e) { return hash_expr(*canonicalize(e)); }
-
 ExprPtr canonicalize(const ExprPtr& e) {
   if (e->kind != Expr::Kind::kOp) return e;
   std::vector<ExprPtr> kids;

@@ -27,10 +27,4 @@ ExprPtr canonicalize(const ExprPtr& e);
 // Total order on expressions used by canonicalize (exposed for tests).
 int compare(const Expr& a, const Expr& b);
 
-// hash_expr of the canonical form: two expressions equal up to commutativity
-// hash identically. This is the handler half of the evaluation memo-cache key
-// (synth::EvalCache) — safe because IEEE add/mul are commutative, so
-// commutative variants replay to bit-identical CWND series.
-std::size_t canonical_hash(const ExprPtr& e);
-
 }  // namespace abg::dsl

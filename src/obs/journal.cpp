@@ -463,8 +463,6 @@ void journal_emit_trace_counters() {
     w.begin_object();
     w.key("enumerated");
     w.value(kind(JournalKind::kEnumerated));
-    w.key("cache_hit");
-    w.value(kind(JournalKind::kCacheHit));
     w.key("evaluated");
     w.value(kind(JournalKind::kEvaluated));
     w.key("abandoned");

@@ -1,6 +1,6 @@
 // Search-forensics journal (ISSUE 6): one compact binary event per candidate
-// lifecycle step — sketch emitted, candidate enumerated, cache-hit, fully
-// evaluated, abandoned, selected — plus per-DTW-eval detail events (LB prune,
+// lifecycle step — sketch emitted, candidate enumerated, fully evaluated,
+// abandoned, selected — plus per-DTW-eval detail events (LB prune,
 // row abandon, completed eval with cells spent). Each record carries full
 // provenance: job, iteration, bucket, sketch hash, hole-assignment
 // fingerprint, distance, DTW cells, and a nanosecond timestamp. Where the
@@ -42,7 +42,7 @@ namespace abg::obs {
 enum class JournalKind : std::uint8_t {
   kSketch = 0,     // enumerator emitted a (deduped, canonical) sketch
   kEnumerated,     // a hole assignment was concretized into a candidate
-  kCacheHit,       // the memo cache answered this candidate (terminal)
+  kCacheHit,       // retired: emitted by the removed memo cache; kept so old journals decode
   kEvaluated,      // exact distance computed for this candidate (terminal)
   kAbandoned,      // candidate abandoned against the bucket bound (terminal)
   kSelected,       // bucket best of an iteration; kJournalFinal = run winner
@@ -145,7 +145,7 @@ void journal_begin_candidate(std::uint64_t sketch_hash, std::uint64_t fingerprin
 void journal_end_candidate();
 
 // True when inside a begun, sampled candidate in an active scope — the guard
-// the distance layer and eval cache use.
+// the distance layer uses.
 bool journal_in_candidate();
 
 // Current candidate's sampling decision (false outside a candidate).
@@ -159,13 +159,13 @@ void journal_set_segment(std::uint32_t index);
 std::uint64_t journal_take_cells();
 
 // Stable fingerprint of a hole assignment under a sketch: identical across
-// runs (and across fast-path on/off) whenever the enumeration order is.
+// runs whenever the enumeration order is.
 std::uint64_t journal_fingerprint(std::uint64_t sketch_hash,
                                   const std::vector<double>& assignment);
 
 // --- Emission ---------------------------------------------------------------
 
-// Candidate-lifecycle event (kEnumerated/kCacheHit/kEvaluated/kAbandoned):
+// Candidate-lifecycle event (kEnumerated/kEvaluated/kAbandoned):
 // sketch/candidate/provenance come from the thread's state. No-op unless
 // journal_in_candidate().
 void journal_record_candidate(JournalKind kind, double distance, std::uint64_t cells);

@@ -82,10 +82,6 @@ std::string job_result_json(const std::string& id, const api::JobResult& r,
   }
   w.key("segments_total");
   w.value(static_cast<std::uint64_t>(r.segments_total));
-  w.key("cache_hits");
-  w.value(r.cache_hits);
-  w.key("cache_misses");
-  w.value(r.cache_misses);
   w.key("seconds");
   w.value(r.seconds);
   w.key("convergence");

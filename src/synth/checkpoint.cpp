@@ -37,6 +37,19 @@ void append_rng(std::vector<std::string>& f, const util::Rng::State& st) {
   f.push_back(fmt_double(st.cached_normal));
 }
 
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  // FNV-1a step over the 8 bytes of v.
+  h ^= v;
+  return h * 0x100000001b3ull;
+}
+
+std::uint64_t mix_double(std::uint64_t h, double d) {
+  std::uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  std::memcpy(&bits, &d, sizeof(bits));
+  return mix(h, bits);
+}
+
 std::vector<std::string> split_tabs(const std::string& line) {
   std::vector<std::string> out;
   std::string field;
@@ -102,6 +115,34 @@ bool parse_int(const std::string& s, int* out) {
 
 }  // namespace
 
+std::uint64_t segment_pool_fingerprint(const std::vector<trace::Segment>& segments) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  h = mix(h, segments.size());
+  for (const auto& seg : segments) {
+    h = mix(h, seg.samples.size());
+    for (const auto& s : seg.samples) {
+      // The fields replay() and observed_series_pkts() read: anything that
+      // can change a distance changes the fingerprint.
+      h = mix_double(h, s.sig.now);
+      h = mix_double(h, s.sig.mss);
+      h = mix_double(h, s.sig.cwnd);
+      h = mix_double(h, s.sig.inflight);
+      h = mix_double(h, s.sig.acked_bytes);
+      h = mix_double(h, s.sig.rtt);
+      h = mix_double(h, s.sig.srtt);
+      h = mix_double(h, s.sig.min_rtt);
+      h = mix_double(h, s.sig.max_rtt);
+      h = mix_double(h, s.sig.ack_rate);
+      h = mix_double(h, s.sig.rtt_gradient);
+      h = mix_double(h, s.sig.time_since_loss);
+      h = mix_double(h, s.sig.cwnd_at_loss);
+      h = mix_double(h, s.cwnd_after);
+      h = mix(h, static_cast<std::uint64_t>(s.is_dup));
+    }
+  }
+  return h;
+}
+
 util::Status save_checkpoint(const Checkpoint& ck, const std::string& path) {
   if (util::fault::io_fail("checkpoint.save")) {
     return Status(StatusCode::kIoError, "injected I/O fault writing " + path);
@@ -155,13 +196,11 @@ util::Status save_checkpoint(const Checkpoint& ck, const std::string& path) {
   }
   line({"iterations", fmt_u64(ck.iterations.size())});
   for (const auto& it : ck.iterations) {
-    // The three trailing fields (best_distance, cumulative cache hits and
-    // misses) were appended after the format shipped; the reader tolerates
-    // their absence, so old checkpoints stay loadable.
+    // The trailing best_distance was appended after the format shipped; the
+    // reader tolerates its absence, so old checkpoints stay loadable.
     line({"iter", fmt_u64(static_cast<std::uint64_t>(it.n_target)),
           fmt_u64(static_cast<std::uint64_t>(it.keep)), fmt_u64(it.segments_used),
-          fmt_double(it.seconds), fmt_u64(it.buckets.size()), fmt_double(it.best_distance),
-          fmt_u64(it.cache_hits), fmt_u64(it.cache_misses)});
+          fmt_double(it.seconds), fmt_u64(it.buckets.size()), fmt_double(it.best_distance)});
     for (const auto& br : it.buckets) {
       line({"ib", br.label, fmt_double(br.score), fmt_u64(br.sketches_enumerated),
             fmt_u64(br.handlers_scored), br.exhausted ? "1" : "0", br.retained ? "1" : "0"});
@@ -300,16 +339,12 @@ util::Result<Checkpoint> load_checkpoint(const std::string& path) {
           !util::parse_double((*itf)[4], &rep.seconds) || !parse_size((*itf)[5], &nbuckets)) {
         return fail("bad iteration record");
       }
-      // Convergence fields, appended in a later format revision: present in
-      // new checkpoints, silently defaulted for old ones.
-      if (itf->size() >= 9) {
-        std::size_t hits = 0, misses = 0;
-        if (!util::parse_double((*itf)[6], &rep.best_distance) ||
-            !parse_size((*itf)[7], &hits) || !parse_size((*itf)[8], &misses)) {
-          return fail("bad iteration convergence record");
-        }
-        rep.cache_hits = hits;
-        rep.cache_misses = misses;
+      // best_distance, appended in a later format revision: present in new
+      // checkpoints, silently defaulted for old ones. Checkpoints written
+      // while the evaluation memo cache existed carry two more fields (its
+      // hit and miss tallies), which are no longer read.
+      if (itf->size() >= 7 && !util::parse_double((*itf)[6], &rep.best_distance)) {
+        return fail("bad iteration convergence record");
       }
       for (std::size_t j = 0; j < nbuckets; ++j) {
         auto ibf = r.expect("ib", 7);

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "synth/refinement.hpp"
+#include "trace/trace.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 
@@ -44,7 +45,7 @@ struct ScoredHandlerCheckpoint {
 struct Checkpoint {
   // Guards against resuming over different inputs: both must match the
   // resuming run exactly.
-  std::uint64_t pool_fingerprint = 0;  // segment_set_fingerprint(all segments)
+  std::uint64_t pool_fingerprint = 0;  // segment_pool_fingerprint(all segments)
   std::uint64_t seed = 0;              // SynthesisOptions::seed
 
   int next_iter = 0;  // first iteration the resumed loop should run
@@ -59,6 +60,10 @@ struct Checkpoint {
   std::vector<ScoredHandlerCheckpoint> candidates;
   std::vector<IterationReport> iterations;
 };
+
+// Content fingerprint of a segment pool. Hashes every sample of every
+// segment, so two pools collide only by 64-bit accident, not by construction.
+std::uint64_t segment_pool_fingerprint(const std::vector<trace::Segment>& segments);
 
 // Durable atomic write: serialize to `path + ".tmp"`, fsync, rename over
 // `path`, fsync the parent directory (util::atomic_write_file). A crash

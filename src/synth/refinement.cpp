@@ -1,13 +1,8 @@
 #include "synth/refinement.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <memory>
-#include <mutex>
 
-#include "dsl/parse.hpp"
-#include "dsl/simplify.hpp"
 #include "obs/journal.hpp"
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
@@ -25,177 +20,6 @@
 #include "util/thread_pool.hpp"
 
 namespace abg::synth {
-
-namespace {
-
-// One candidate of the batched scoring window (ISSUE 7). Candidates join
-// the window in enumeration order; cache hits arrive with their distance,
-// misses stay pending until a lane-batch flush evaluates them.
-struct BatchEntry {
-  const std::vector<double>* assign = nullptr;
-  dsl::ExprPtr handler;
-  std::uint64_t fp = 0;
-  dsl::ExprPtr canon;          // only with a cache
-  std::size_t canon_hash = 0;  // only with a cache
-  double d = std::numeric_limits<double>::infinity();
-  bool pending = false;
-};
-
-// Batched replacement for score_sketch's scalar candidate loop. Selection
-// stays bit-identical to the scalar loop for every result the refinement
-// loop consumes: pending candidates are evaluated against the cutoff as it
-// stood when their window opened (c0), which can only make their distance
-// MORE exact than the scalar path's (+inf from a tighter mid-window bound),
-// and score_sketch's contract already allows exact-or-+inf above the
-// caller's bound. Best/cutoff updates happen in an in-order walk at flush,
-// so the winner and the cutoff entering every later window match the scalar
-// loop's exactly (the golden fast-path test pins this).
-ScoredHandler score_sketch_batched(const dsl::ExprPtr& sketch,
-                                   const std::vector<trace::Segment>& segments,
-                                   const std::vector<std::vector<double>>& assignments,
-                                   const SynthesisOptions& opts,
-                                   const distance::DistanceOptions& dopts,
-                                   std::size_t* handlers_scored, EvalContext* ctx,
-                                   bool jrn, std::uint64_t sketch_hash,
-                                   std::size_t* evaluated_out) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  ScoredHandler best;
-  best.sketch = sketch;
-  EvalCache* cache = ctx ? ctx->cache : nullptr;
-  const bool abandon = opts.early_abandon;
-  double cutoff = (abandon && ctx) ? ctx->abandon_above : kInf;
-
-  // Compiled once per sketch; every lane of every window reuses it. The
-  // observed series are candidate-independent, so they are shared too.
-  std::optional<dsl::Program> prog;
-  std::vector<std::vector<double>> observed;
-
-  std::vector<BatchEntry> window;
-  window.reserve(2 * dsl::kBatchLanes);
-  std::size_t n_pending = 0;
-  std::size_t evaluated = 0;
-
-  auto flush = [&] {
-    if (!window.empty() && n_pending > 0) {
-      std::vector<const std::vector<double>*> lanes;
-      std::vector<std::size_t> lane_entry;
-      lanes.reserve(n_pending);
-      lane_entry.reserve(n_pending);
-      for (std::size_t i = 0; i < window.size(); ++i) {
-        if (window[i].pending) {
-          lanes.push_back(window[i].assign);
-          lane_entry.push_back(i);
-        }
-      }
-      if (!prog) prog.emplace(dsl::compile(*sketch));
-      if (observed.empty() && !segments.empty()) {
-        observed.reserve(segments.size());
-        for (const auto& seg : segments) observed.push_back(observed_series_pkts(seg));
-      }
-      // All lanes replay under the window-entry cutoff c0: the scalar loop
-      // would have tightened it mid-window, but a looser bound only turns
-      // would-be +inf results exact (see the contract note above).
-      const double c0 = cutoff;
-      const bool bounded = std::isfinite(c0);
-      std::vector<std::vector<std::vector<double>>> synth(segments.size());
-      for (std::size_t s = 0; s < segments.size(); ++s) {
-        replay_batch(*prog, lanes, segments[s], {}, &synth[s]);
-      }
-      for (std::size_t k = 0; k < lanes.size(); ++k) {
-        BatchEntry& e = window[lane_entry[k]];
-        // Re-open the candidate's journal bracket so this lane's DTW detail
-        // events (and the cell tally) attribute to it, exactly as the
-        // scalar loop's single bracket would.
-        if (jrn) obs::journal_begin_candidate(sketch_hash, e.fp);
-        double sum = 0.0;
-        bool abandoned = false;
-        for (std::size_t s = 0; s < segments.size(); ++s) {
-          if (obs::journal_enabled()) obs::journal_set_segment(static_cast<std::uint32_t>(s));
-          sum += distance::compute(opts.metric, synth[s][k], observed[s], dopts,
-                                   bounded ? c0 - sum : distance::kNoAbandon);
-          if (bounded && sum >= c0) {
-            static auto& c_ab = obs::counter("synth.distance_abandons");
-            c_ab.add();
-            abandoned = true;
-            break;
-          }
-        }
-        const double d = abandoned ? kInf : sum;
-        if (cache && d < c0) {
-          cache->insert(ctx->fingerprint, e.canon_hash, std::move(e.canon), d);
-        }
-        if (jrn) {
-          obs::journal_record_candidate(std::isfinite(d) ? obs::JournalKind::kEvaluated
-                                                         : obs::JournalKind::kAbandoned,
-                                        d, obs::journal_take_cells());
-          obs::journal_end_candidate();
-        }
-        e.d = d;
-        e.pending = false;
-      }
-    }
-    // In-order walk: identical update rule (and therefore identical winner,
-    // tie-breaks included) to the scalar loop.
-    for (const auto& e : window) {
-      if (e.d < best.distance) {
-        best.distance = e.d;
-        best.handler = e.handler;
-        best.fingerprint = e.fp;
-        if (abandon) cutoff = std::min(cutoff, e.d);
-      }
-    }
-    window.clear();
-    n_pending = 0;
-  };
-
-  for (const auto& assign : assignments) {
-    if (ctx && ctx->cancel && ctx->cancel->cancelled()) {
-      // Settle the in-flight window first — its candidates are already in
-      // the journal funnel and must reach a terminal — then stop as soon as
-      // a valid best exists, like the scalar loop's poll point.
-      flush();
-      if (best.valid()) break;
-    }
-    ++evaluated;
-    std::uint64_t fp = 0;
-    if (jrn) {
-      fp = obs::journal_fingerprint(sketch_hash, assign);
-      obs::journal_begin_candidate(sketch_hash, fp);
-      obs::journal_record_candidate(obs::JournalKind::kEnumerated, cutoff, 0);
-    }
-    BatchEntry e;
-    e.assign = &assign;
-    e.handler = dsl::fill_holes(sketch, assign);
-    e.fp = fp;
-    bool cached = false;
-    if (cache) {
-      e.canon = dsl::canonicalize(e.handler);
-      e.canon_hash = dsl::hash_expr(*e.canon);
-      if (auto hit = cache->lookup(ctx->fingerprint, e.canon_hash, *e.canon)) {
-        e.d = *hit;
-        cached = true;
-      }
-      if (cached && ctx->cache_hit_tally) {
-        ctx->cache_hit_tally->fetch_add(1, std::memory_order_relaxed);
-      } else if (!cached && ctx->cache_miss_tally) {
-        ctx->cache_miss_tally->fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (jrn) obs::journal_end_candidate();
-    if (handlers_scored) ++*handlers_scored;
-    if (!cached) {
-      e.pending = true;
-      ++n_pending;
-    }
-    window.push_back(std::move(e));
-    if (n_pending >= dsl::kBatchLanes) flush();
-  }
-  flush();
-  *evaluated_out = evaluated;
-  return best;
-}
-
-}  // namespace
 
 util::Status SynthesisOptions::validate() const {
   auto bad = [](const std::string& msg) {
@@ -246,13 +70,10 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
   constexpr double kInf = std::numeric_limits<double>::infinity();
   ScoredHandler best;
   best.sketch = sketch;
-  EvalCache* cache = ctx ? ctx->cache : nullptr;
-  // The effective abandon bound: candidates must beat both the caller's
-  // bucket-best and this sketch's own running best to matter. Tightens as
-  // better candidates land; never loosens. Inert (always +inf) when the
-  // option is off, so the off path does exactly the seed's work.
-  const bool abandon = opts.early_abandon;
-  double cutoff = (abandon && ctx) ? ctx->abandon_above : kInf;
+  // The abandon bound: candidates must beat both the caller's bucket-best
+  // and this sketch's own running best to matter. Tightens as better
+  // candidates land; never loosens.
+  double cutoff = ctx ? ctx->abandon_above : kInf;
   ConcretizeOptions copts;
   copts.budget = opts.concretize_budget;
   const auto assignments = enumerate_assignments(*sketch, constant_pool, copts, rng);
@@ -262,18 +83,84 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
   const bool jrn = obs::journal_in_scope();
   const std::uint64_t sketch_hash = jrn ? dsl::hash_expr(*sketch) : 0;
   const distance::DistanceOptions dopts = effective_distance_options(opts);
+
+  // Compiled once per sketch; every lane of every window reuses it. The
+  // observed series are candidate-independent, so they are shared too.
+  std::optional<dsl::Program> prog;
+  std::vector<std::vector<double>> observed;
+
+  // The scoring window: up to dsl::kBatchLanes candidates in assignment
+  // order, with their journal fingerprints.
+  std::vector<const std::vector<double>*> lanes;
+  std::vector<std::uint64_t> lane_fp;
+  lanes.reserve(dsl::kBatchLanes);
+  lane_fp.reserve(dsl::kBatchLanes);
   std::size_t evaluated = 0;
-  if (opts.batch_replay) {
-    best = score_sketch_batched(sketch, segments, assignments, opts, dopts, handlers_scored,
-                                ctx, jrn, sketch_hash, &evaluated);
-    static auto& c_scored = obs::counter("synth.handlers_scored");
-    c_scored.add(evaluated);
-    return best;
-  }
+
+  auto flush = [&] {
+    if (lanes.empty()) return;
+    if (!prog) {
+      prog.emplace(dsl::compile(*sketch));
+      observed.reserve(segments.size());
+      for (const auto& seg : segments) observed.push_back(observed_series_pkts(seg));
+    }
+    std::vector<std::vector<std::vector<double>>> synth(segments.size());
+    for (std::size_t s = 0; s < segments.size(); ++s) {
+      replay_batch(*prog, lanes, segments[s], {}, &synth[s]);
+    }
+    // Every lane runs DTW under the cutoff as it stood when the window
+    // opened (c0). A candidate's distance is exact whenever it is below c0,
+    // and the window's candidates are folded in assignment order, so the
+    // winner is the first strict minimum whenever it beats the caller's bound.
+    const double c0 = cutoff;
+    const bool bounded = std::isfinite(c0);
+    for (std::size_t k = 0; k < lanes.size(); ++k) {
+      // Re-open the candidate's journal bracket so this lane's DTW detail
+      // events (and the cell tally) attribute to it.
+      if (jrn) obs::journal_begin_candidate(sketch_hash, lane_fp[k]);
+      double sum = 0.0;
+      bool abandoned = false;
+      for (std::size_t s = 0; s < segments.size(); ++s) {
+        if (obs::journal_enabled()) obs::journal_set_segment(static_cast<std::uint32_t>(s));
+        // Per-segment distances are non-negative, so the running sum bounds
+        // the total from below: once it reaches c0 the candidate is out.
+        sum += distance::compute(opts.metric, synth[s][k], observed[s], dopts,
+                                 bounded ? c0 - sum : distance::kNoAbandon);
+        if (bounded && sum >= c0) {
+          static auto& c_ab = obs::counter("synth.distance_abandons");
+          c_ab.add();
+          abandoned = true;
+          break;
+        }
+      }
+      const double d = abandoned ? kInf : sum;
+      if (jrn) {
+        // Terminal: exact distance, or abandoned against the bound (an
+        // abandoned evaluation surfaces as +inf).
+        obs::journal_record_candidate(std::isfinite(d) ? obs::JournalKind::kEvaluated
+                                                       : obs::JournalKind::kAbandoned,
+                                      d, obs::journal_take_cells());
+        obs::journal_end_candidate();
+      }
+      if (d < best.distance) {
+        best.distance = d;
+        best.handler = dsl::fill_holes(sketch, *lanes[k]);
+        best.fingerprint = lane_fp[k];
+        cutoff = std::min(cutoff, d);
+      }
+    }
+    lanes.clear();
+    lane_fp.clear();
+  };
+
   for (const auto& assign : assignments) {
-    // Cancellation poll point: once a valid best exists, a fired token stops
-    // this sketch immediately and the caller keeps the best-so-far.
-    if (ctx && ctx->cancel && ctx->cancel->cancelled() && best.valid()) break;
+    if (ctx && ctx->cancel && ctx->cancel->cancelled()) {
+      // Settle the in-flight window first — its candidates are already in
+      // the journal funnel and must reach a terminal — then stop as soon as
+      // a valid best exists; the caller keeps the best-so-far.
+      flush();
+      if (best.valid()) break;
+    }
     ++evaluated;
     std::uint64_t fp = 0;
     if (jrn) {
@@ -282,53 +169,14 @@ ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
       fp = obs::journal_fingerprint(sketch_hash, assign);
       obs::journal_begin_candidate(sketch_hash, fp);
       obs::journal_record_candidate(obs::JournalKind::kEnumerated, cutoff, 0);
+      obs::journal_end_candidate();
     }
-    const auto handler = dsl::fill_holes(sketch, assign);
-    double d;
-    dsl::ExprPtr canon;
-    std::size_t canon_hash = 0;
-    bool cached = false;
-    if (cache) {
-      canon = dsl::canonicalize(handler);
-      canon_hash = dsl::hash_expr(*canon);
-      // A hit records the candidate's kCacheHit terminal inside lookup().
-      if (auto hit = cache->lookup(ctx->fingerprint, canon_hash, *canon)) {
-        d = *hit;
-        cached = true;
-      }
-      // Per-run attribution (SynthesisResult::cache_hits): the cache's own
-      // tallies are instance-wide, which conflates jobs once the engine
-      // shares one cache across a batch.
-      if (cached && ctx->cache_hit_tally) {
-        ctx->cache_hit_tally->fetch_add(1, std::memory_order_relaxed);
-      } else if (!cached && ctx->cache_miss_tally) {
-        ctx->cache_miss_tally->fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (!cached) {
-      d = total_distance(*handler, segments, opts.metric, dopts, {}, cutoff);
-      // Only exact values may be shared: a result at or above the cutoff can
-      // be a truncated lower bound from an abandoned evaluation.
-      if (cache && d < cutoff) {
-        cache->insert(ctx->fingerprint, canon_hash, std::move(canon), d);
-      }
-      if (jrn) {
-        // Terminal: exact distance, or abandoned against the bucket bound
-        // (an abandoned evaluation surfaces as +inf).
-        obs::journal_record_candidate(std::isfinite(d) ? obs::JournalKind::kEvaluated
-                                                       : obs::JournalKind::kAbandoned,
-                                      d, obs::journal_take_cells());
-      }
-    }
-    if (jrn) obs::journal_end_candidate();
-    if (handlers_scored) ++*handlers_scored;
-    if (d < best.distance) {
-      best.distance = d;
-      best.handler = handler;
-      best.fingerprint = fp;
-      if (abandon) cutoff = std::min(cutoff, d);
-    }
+    lanes.push_back(&assign);
+    lane_fp.push_back(fp);
+    if (lanes.size() >= dsl::kBatchLanes) flush();
   }
+  flush();
+  if (handlers_scored) *handlers_scored += evaluated;
   // Same site as the hand count above, so the registry and the per-bucket
   // fields cannot drift (test_obs asserts they agree).
   static auto& c_scored = obs::counter("synth.handlers_scored");
@@ -431,7 +279,7 @@ SynthesisResult synthesize(const std::vector<trace::Segment>& segments,
   // an uninterrupted one. Called only between iterations, when no pass runs.
   auto save_state = [&](int next_iter) {
     Checkpoint ck;
-    ck.pool_fingerprint = segment_set_fingerprint(segments);
+    ck.pool_fingerprint = segment_pool_fingerprint(segments);
     ck.seed = opts.seed;
     ck.next_iter = next_iter;
     ck.n = n;
@@ -465,7 +313,7 @@ SynthesisResult synthesize(const std::vector<trace::Segment>& segments,
       return result;
     } else {
       const Checkpoint& ck = *loaded;
-      if (ck.pool_fingerprint != segment_set_fingerprint(segments) || ck.seed != opts.seed) {
+      if (ck.pool_fingerprint != segment_pool_fingerprint(segments) || ck.seed != opts.seed) {
         result.status = util::Status(util::StatusCode::kInvalidTrace,
                                      "checkpoint was written for a different segment pool or seed");
         return result;
@@ -603,9 +451,8 @@ SynthesisResult synthesize(const std::vector<trace::Segment>& segments,
     }
     report.seconds = iter_clock.elapsed_seconds();
     // Convergence point: the pass has joined, so result.best is settled for
-    // this iteration and the run tallies are quiescent.
+    // this iteration.
     report.best_distance = result.best.distance;
-    exec.cache_tallies(&report.cache_hits, &report.cache_misses);
     if (g_best_job != nullptr) g_best_job->set(report.best_distance);
     result.iterations.push_back(std::move(report));
     // Streamed progress for JobHandle subscribers; runs on this thread so
@@ -672,32 +519,21 @@ SynthesisResult synthesize(const std::vector<trace::Segment>& segments,
     }
     result.candidates_validated = unique.size();
     c_validated.add(unique.size());
-    std::mutex val_mu;
-    ScoredHandler winner;
-    std::size_t winner_idx = unique.size();
+    // Every unique candidate is scored exactly, so validation's work is a
+    // function of the candidate list alone, not of which task finishes
+    // first. The winner is the minimum by (distance, candidate index), the
+    // first-wins order of the candidate list.
+    std::vector<double> dist(unique.size());
     exec.pool().parallel_for(unique.size(), [&](std::size_t i) {
-      // Snapshot the winner's distance as the abandon bound: it only ever
-      // shrinks, so a candidate abandoned against a stale value is also at
-      // or above the final minimum and could never have been selected. The
-      // bound sits one ULP above the incumbent so an equal-distance
-      // candidate finishes scoring and reaches the index tie-break below —
-      // abandonment triggers at >= the cutoff.
-      double cutoff = std::numeric_limits<double>::infinity();
-      if (opts.early_abandon) {
-        std::lock_guard lk(val_mu);
-        cutoff = std::nextafter(winner.distance, std::numeric_limits<double>::infinity());
-      }
-      const double d =
-          total_distance(*unique[i].handler, validation, opts.metric, opts.dopts, {}, cutoff);
-      std::lock_guard lk(val_mu);
-      // Deterministic despite completion order: minimum by (distance,
-      // candidate index), the first-wins order of the candidate list.
-      if (d < winner.distance || (d == winner.distance && i < winner_idx)) {
-        winner = unique[i];
-        winner.distance = d;
-        winner_idx = i;
-      }
+      dist[i] = total_distance(*unique[i].handler, validation, opts.metric, opts.dopts);
     });
+    ScoredHandler winner;
+    for (std::size_t i = 0; i < unique.size(); ++i) {
+      if (dist[i] < winner.distance || (!winner.valid() && dist[i] == winner.distance)) {
+        winner = unique[i];
+        winner.distance = dist[i];
+      }
+    }
     if (winner.valid()) result.best = winner;
   }
 
@@ -718,7 +554,6 @@ SynthesisResult synthesize(const std::vector<trace::Segment>& segments,
     result.total_sketches += b.sketches;
     result.total_handlers_scored += b.handlers_scored;
   }
-  exec.cache_tallies(&result.cache_hits, &result.cache_misses);
   result.seconds = total_clock.elapsed_seconds();
   return result;
 }

@@ -16,7 +16,6 @@
 // reproduced from a single synthesis run.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -31,7 +30,6 @@
 #include "synth/buckets.hpp"
 #include "synth/concretize.hpp"
 #include "synth/enumerator.hpp"
-#include "synth/eval_cache.hpp"
 #include "trace/trace.hpp"
 #include "util/cancellation.hpp"
 #include "util/rng.hpp"
@@ -84,26 +82,6 @@ struct SynthesisOptions {
   std::string checkpoint_path;
   bool resume = false;
 
-  // --- Evaluation fast path (ISSUE 2). Both knobs change only how much
-  // work is done, never the result: the selected handlers and reported
-  // distances are bit-identical with them on or off (asserted by the golden
-  // test in tests/test_fast_path.cpp).
-  // Memoize total_distance by (canonical handler, working-set fingerprint),
-  // shared across buckets and iterations ("synth.cache_hits"/"_misses").
-  bool use_eval_cache = true;
-  // Thread the running best distance into total_distance/DTW so hopeless
-  // candidates abandon early ("distance.early_abandons",
-  // "synth.distance_abandons").
-  bool early_abandon = true;
-
-  // --- Data-parallel evaluation (ISSUE 7). Like the fast-path knobs above,
-  // both change only how much work is done per result, never the result the
-  // refinement loop consumes (same golden test).
-  // Compile each sketch to bytecode once and replay one segment across up to
-  // dsl::kBatchLanes hole-assignments in lockstep instead of tree-walking
-  // every concretization separately. A manifest's "fast_path": false turns
-  // this off together with the cache/abandon knobs.
-  bool batch_replay = true;
   // DTW kernel tier for every distance this run computes. kAuto defers to
   // ABG_SIMD and then to CPU detection (see distance::resolve_simd); an
   // explicit tier here wins over the environment. Overrides dopts.simd when
@@ -124,12 +102,6 @@ struct SynthesisOptions {
   // this pool (shared across jobs by the engine) instead of a fresh per-run
   // pool; `threads` is then ignored. Must outlive the synthesize() call.
   util::ThreadPool* pool = nullptr;
-  // Non-owning cross-job memo cache. When set (and use_eval_cache is true),
-  // it replaces the per-run cache, so a second job over the same segment
-  // working sets answers its evaluations from the first job's inserts.
-  // Entries are exact and keyed by (segment fingerprint, canonical handler),
-  // so sharing never changes any job's result. Must outlive the call.
-  EvalCache* shared_cache = nullptr;
   // Streamed progress: invoked on the synthesizing thread right after each
   // completed iteration's report is recorded (checkpoint-restored iterations
   // are not replayed). The report reference is valid only during the call.
@@ -180,11 +152,9 @@ struct IterationReport {
   std::vector<BucketReport> buckets;  // sorted by ascending score
   double seconds = 0.0;
   // Convergence point (ISSUE 5): the run's best distance after this
-  // iteration and the cumulative memo-cache traffic up to it, so a search-
-  // progress curve (paper Figure 3 style) falls out of the report series.
+  // iteration, so a search-progress curve (paper Figure 3 style) falls out
+  // of the report series.
   double best_distance = std::numeric_limits<double>::infinity();
-  std::uint64_t cache_hits = 0;    // cumulative for the run, not per-iteration
-  std::uint64_t cache_misses = 0;
 };
 
 struct SynthesisResult {
@@ -194,11 +164,6 @@ struct SynthesisResult {
   std::size_t initial_buckets = 0;
   std::size_t total_sketches = 0;
   std::size_t total_handlers_scored = 0;
-  // This run's own memo-cache traffic. Unlike the process-global
-  // "synth.cache_hits" obs counter, these stay per-job even when several
-  // jobs share one EvalCache through SynthesisOptions::shared_cache.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   bool timed_out = false;
   // True when the run was preempted (deadline, external cancel, or injected
   // fault) and `best` is the best-so-far rather than a completed search.
@@ -216,38 +181,30 @@ struct SynthesisResult {
                                                                  std::size_t iter) const;
 };
 
-// Shared state for the evaluation fast path, threaded through score_sketch
-// by the refinement loop. Null cache disables memoization; an infinite
-// abandon_above disables early abandoning. The default-constructed context
-// is equivalent to passing none.
+// Per-call evaluation state threaded through score_sketch by the bucket pass.
+// The default-constructed context is equivalent to passing none.
 struct EvalContext {
-  EvalCache* cache = nullptr;      // shared across buckets + iterations
-  std::uint64_t fingerprint = 0;   // segment_set_fingerprint(working set)
   // Candidates that cannot beat this distance may be abandoned mid-
-  // evaluation. The refinement loop passes the bucket's best-so-far (not the
+  // evaluation. The bucket pass passes the bucket's best-so-far (not the
   // global best: bucket scores feed the top-k ranking, so each bucket's own
   // minimum must stay exact).
   double abandon_above = std::numeric_limits<double>::infinity();
   // Polled once per concretized handler; when set and fired, score_sketch
   // stops early but still returns the best handler it has already scored.
   const util::CancellationToken* cancel = nullptr;
-  // Per-run cache tallies (see SynthesisResult::cache_hits). Optional; the
-  // shared EvalCache's own counters are global, so attribution to a job has
-  // to happen at the probe site.
-  std::atomic<std::uint64_t>* cache_hit_tally = nullptr;
-  std::atomic<std::uint64_t>* cache_miss_tally = nullptr;
 };
 
 // Score one sketch against a working set of segments: concretize (§4.2),
-// replay every handler, return the best. `handlers_scored` is incremented
-// by the number of concrete handlers evaluated (cache hits included — a hit
-// is a scored handler whose distance was reused, keeping the Table 4 / §6
-// accounting identical with the fast path on).
+// replay every handler, return the best. Each sketch is compiled to bytecode
+// once and replayed across up to dsl::kBatchLanes hole assignments in
+// lockstep; DTW runs per lane under the abandon bound. `handlers_scored` is
+// incremented by the number of concrete handlers scored.
 //
-// With a context: candidates whose true distance is >= ctx->abandon_above
-// may come back with distance = +inf instead of their exact score. The
-// returned best is exact whenever it beats ctx->abandon_above, which is the
-// only case the refinement loop consumes.
+// Candidates whose true distance is >= the bound (ctx->abandon_above,
+// tightened by this sketch's own running best) may come back with distance =
+// +inf instead of their exact score. The returned best is exact whenever it
+// beats ctx->abandon_above, which is the only case the refinement loop
+// consumes; ties keep the first candidate in assignment order.
 ScoredHandler score_sketch(const dsl::ExprPtr& sketch,
                            const std::vector<trace::Segment>& segments,
                            const std::vector<double>& constant_pool,
@@ -288,8 +245,6 @@ class PassExecutor {
   virtual BucketSummary summary(std::size_t bucket) const = 0;
   virtual BucketCheckpoint snapshot(std::size_t bucket) const = 0;
   virtual util::Status restore(std::size_t bucket, const BucketCheckpoint& ck) = 0;
-  // The run's cumulative memo-cache traffic.
-  virtual void cache_tallies(std::uint64_t* hits, std::uint64_t* misses) = 0;
   // Where final validation runs.
   virtual util::ThreadPool& pool() = 0;
 };

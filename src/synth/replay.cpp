@@ -59,32 +59,21 @@ std::vector<double> observed_series_pkts(const trace::Segment& segment) {
 
 double segment_distance(const dsl::Expr& handler, const trace::Segment& segment,
                         distance::Metric metric, const distance::DistanceOptions& dopts,
-                        const ReplayOptions& ropts, double abandon_above) {
+                        const ReplayOptions& ropts) {
   const auto synth = replay(handler, segment, ropts);
   const auto observed = observed_series_pkts(segment);
-  return distance::compute(metric, synth, observed, dopts, abandon_above);
+  return distance::compute(metric, synth, observed, dopts);
 }
 
 double total_distance(const dsl::Expr& handler, const std::vector<trace::Segment>& segments,
                       distance::Metric metric, const distance::DistanceOptions& dopts,
-                      const ReplayOptions& ropts, double abandon_above) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const bool bounded = std::isfinite(abandon_above);
+                      const ReplayOptions& ropts) {
   double sum = 0.0;
   for (std::size_t i = 0; i < segments.size(); ++i) {
-    const auto& seg = segments[i];
     // Stamp the segment index so the journal's DTW detail events attribute
     // cells to working-set positions (abg_inspect hotspots --by segment).
     if (obs::journal_enabled()) obs::journal_set_segment(static_cast<std::uint32_t>(i));
-    // Remaining budget for this segment: if its distance alone reaches it,
-    // the total cannot come in under the bound.
-    sum += segment_distance(handler, seg, metric, dopts, ropts,
-                            bounded ? abandon_above - sum : distance::kNoAbandon);
-    if (bounded && sum >= abandon_above) {
-      static auto& c_ab = obs::counter("synth.distance_abandons");
-      c_ab.add();
-      return kInf;
-    }
+    sum += segment_distance(handler, segments[i], metric, dopts, ropts);
   }
   return sum;
 }

@@ -31,25 +31,17 @@ std::vector<double> replay(const dsl::Expr& handler, const trace::Segment& segme
 std::vector<double> observed_series_pkts(const trace::Segment& segment);
 
 // Distance between the handler's synthesized trace and the observed one.
-// `abandon_above` is forwarded to the metric (see distance::compute): when
-// the bound triggers, +inf is returned instead of the exact distance.
 double segment_distance(const dsl::Expr& handler, const trace::Segment& segment,
                         distance::Metric metric,
                         const distance::DistanceOptions& dopts = {},
-                        const ReplayOptions& ropts = {},
-                        double abandon_above = distance::kNoAbandon);
+                        const ReplayOptions& ropts = {});
 
 // Sum of segment distances over a working set (the per-row "DTW distance"
-// of Table 2). Early abandoning: per-segment distances are non-negative, so
-// the running sum is a lower bound on the total — once it reaches
-// `abandon_above`, the remaining segments are skipped and +inf is returned
-// ("synth.distance_abandons"). Each segment evaluation also receives the
-// remaining budget so the DTW DP itself can abandon mid-matrix. With the
-// default bound the result is exact and bit-identical to the seed path.
+// of Table 2), always exact. The refinement loop's bounded evaluation lives
+// in score_sketch.
 double total_distance(const dsl::Expr& handler, const std::vector<trace::Segment>& segments,
                       distance::Metric metric,
                       const distance::DistanceOptions& dopts = {},
-                      const ReplayOptions& ropts = {},
-                      double abandon_above = distance::kNoAbandon);
+                      const ReplayOptions& ropts = {});
 
 }  // namespace abg::synth

@@ -174,14 +174,6 @@ LocalExecutor::LocalExecutor(const dsl::Dsl& dsl, const std::vector<trace::Segme
     st.rng = util::Rng(bucket_rng_seed(st.bucket.label, opts_.seed));
     states_.push_back(std::move(st));
   }
-  // One memo cache for the whole run, shared by every bucket and pass (pool
-  // workers hit different mutex stripes concurrently). Re-scoring a sketch
-  // list under an unchanged working set — the terminal exhaustive pass, and
-  // every iteration once the sampler has consumed its pool — reuses the
-  // exact distances instead of replaying. A caller-supplied shared_cache
-  // extends the reuse across jobs; entries are exact, so this never changes
-  // the result.
-  cache_ = opts_.shared_cache != nullptr ? opts_.shared_cache : &local_cache_;
   journal_job_ = journal_job_id(opts_);
 }
 
@@ -200,7 +192,7 @@ LocalExecutor::~LocalExecutor() {
 
 void LocalExecutor::score_bucket(BucketSearchState& st, std::size_t target, int iter,
                                  const std::vector<trace::Segment>& working,
-                                 std::uint64_t fingerprint, const util::CancellationToken& tok) {
+                                 const util::CancellationToken& tok) {
   obs::TraceSpan span("score " + st.bucket.label, "synth");
   // Journal provenance: the scope is installed inside the task body, so a
   // pool worker that steals the task self-attributes to this run.
@@ -217,11 +209,7 @@ void LocalExecutor::score_bucket(BucketSearchState& st, std::size_t target, int 
   const std::size_t scored_before = st.handlers_scored;
   if (tok.cancelled() && found_.load(std::memory_order_acquire)) return;
   EvalContext ctx;
-  ctx.cache = opts_.use_eval_cache ? cache_ : nullptr;
-  ctx.fingerprint = fingerprint;
   ctx.cancel = &tok;
-  ctx.cache_hit_tally = &cache_hits_;
-  ctx.cache_miss_tally = &cache_misses_;
   const ScoredHandler bucket_best =
       run_bucket_pass(dsl_, opts_, st, target, working, &ctx, [&tok] { return tok.cancelled(); });
   if (st.labeled_scored != nullptr) {
@@ -246,9 +234,8 @@ util::Status LocalExecutor::run_pass(const std::vector<std::size_t>& buckets, st
   segs.reserve(working.size());
   for (std::size_t idx : working) segs.push_back(segments_[idx]);
   if (segs.empty()) segs = segments_;  // tiny pools: use everything
-  const std::uint64_t fingerprint = opts_.use_eval_cache ? segment_set_fingerprint(segs) : 0;
   pool_->parallel_for(buckets.size(), [&](std::size_t i) {
-    score_bucket(states_[buckets[i]], target, iter, segs, fingerprint, tok);
+    score_bucket(states_[buckets[i]], target, iter, segs, tok);
   });
   *complete = buckets;
   if (!tok.cancelled()) return util::Status::ok();
@@ -272,18 +259,13 @@ util::Status LocalExecutor::restore(std::size_t bucket, const BucketCheckpoint& 
   return util::Status::ok();
 }
 
-void LocalExecutor::cache_tallies(std::uint64_t* hits, std::uint64_t* misses) {
-  *hits = cache_hits_.load(std::memory_order_relaxed);
-  *misses = cache_misses_.load(std::memory_order_relaxed);
-}
-
 // --- ShardEngine -----------------------------------------------------------------
 
 ShardEngine::ShardEngine(dsl::Dsl dsl, std::vector<trace::Segment> segments,
                          SynthesisOptions opts)
     : dsl_(std::move(dsl)), segments_(std::move(segments)), opts_(std::move(opts)) {
   opts_.dopts = effective_distance_options(opts_);
-  pool_fingerprint_ = segment_set_fingerprint(segments_);
+  pool_fingerprint_ = segment_pool_fingerprint(segments_);
   exec_ = std::make_unique<LocalExecutor>(dsl_, segments_, opts_);
   for (std::size_t b = 0; b < exec_->bucket_count(); ++b) index_[exec_->summary(b).label] = b;
 }

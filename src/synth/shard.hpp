@@ -27,7 +27,6 @@
 #include "synth/buckets.hpp"
 #include "synth/checkpoint.hpp"
 #include "synth/enumerator.hpp"
-#include "synth/eval_cache.hpp"
 #include "synth/refinement.hpp"
 #include "trace/trace.hpp"
 #include "util/cancellation.hpp"
@@ -95,13 +94,12 @@ util::Status bucket_state_from_checkpoint(const dsl::Dsl& dsl, const SynthesisOp
                                           const BucketCheckpoint& ck, BucketSearchState* st);
 
 // The in-process executor: every bucket of the DSL (make_buckets order),
-// passes run in parallel on a thread pool, one memo cache for the whole run.
-// `dsl` and `segments` must outlive it; `opts` must be validated with the
-// SIMD choice folded in (effective_distance_options). Passes run on
-// opts.pool when set, else on a private pool of opts.threads workers (0 =
-// hardware concurrency); opts.shared_cache, when set, replaces the private
-// cache. An interrupted pass reports every bucket complete: each one ends
-// with its best-so-far.
+// passes run in parallel on a thread pool. `dsl` and `segments` must outlive
+// it; `opts` must be validated with the SIMD choice folded in
+// (effective_distance_options). Passes run on opts.pool when set, else on a
+// private pool of opts.threads workers (0 = hardware concurrency). An
+// interrupted pass reports every bucket complete: each one ends with its
+// best-so-far.
 class LocalExecutor final : public PassExecutor {
  public:
   LocalExecutor(const dsl::Dsl& dsl, const std::vector<trace::Segment>& segments,
@@ -116,12 +114,11 @@ class LocalExecutor final : public PassExecutor {
   BucketSummary summary(std::size_t bucket) const override;
   BucketCheckpoint snapshot(std::size_t bucket) const override;
   util::Status restore(std::size_t bucket, const BucketCheckpoint& ck) override;
-  void cache_tallies(std::uint64_t* hits, std::uint64_t* misses) override;
   util::ThreadPool& pool() override { return *pool_; }
 
  private:
   void score_bucket(BucketSearchState& st, std::size_t target, int iter,
-                    const std::vector<trace::Segment>& working, std::uint64_t fingerprint,
+                    const std::vector<trace::Segment>& working,
                     const util::CancellationToken& tok);
 
   const dsl::Dsl& dsl_;
@@ -130,10 +127,6 @@ class LocalExecutor final : public PassExecutor {
   std::unique_ptr<util::ThreadPool> owned_pool_;
   util::ThreadPool* pool_ = nullptr;
   std::vector<BucketSearchState> states_;
-  EvalCache local_cache_;
-  EvalCache* cache_ = nullptr;
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> cache_misses_{0};
   // Set once any bucket holds a valid best. A preempted pass skips the
   // buckets it has not started yet once this is set — building their
   // enumerators just to honor the one-sketch minimum would stretch the
@@ -178,9 +171,6 @@ class ShardEngine {
 
   std::uint64_t pool_fingerprint() const { return pool_fingerprint_; }
   std::size_t segment_count() const { return segments_.size(); }
-  void cache_tallies(std::uint64_t* hits, std::uint64_t* misses) {
-    exec_->cache_tallies(hits, misses);
-  }
 
  private:
   dsl::Dsl dsl_;

@@ -16,36 +16,32 @@ namespace abg::util::fault {
 
 namespace {
 
+// The injector's state. The environment is read once, when the state is
+// first touched, so ABG_FAULT_INJECT alone arms every hook; set_config()
+// overrides it afterwards.
 struct State {
   std::mutex mu;
   Config cfg;
   Rng rng{1};
-  bool initialized = false;
+  std::atomic<bool> active{false};
+
+  State() {
+    const char* spec = std::getenv("ABG_FAULT_INJECT");
+    if (spec == nullptr || *spec == '\0') return;
+    cfg = parse_spec(spec);
+    rng = Rng(cfg.seed);
+    active.store(cfg.any(), std::memory_order_relaxed);
+    if (cfg.any()) {
+      ABG_WARN("fault injection active: io=%.3f nan=%.3f cancel_after=%d seed=%llu",
+               cfg.io_fail_prob, cfg.nan_prob, cfg.cancel_after_iterations,
+               static_cast<unsigned long long>(cfg.seed));
+    }
+  }
 };
 
 State& state() {
   static State s;
   return s;
-}
-
-std::atomic<bool>& active_flag() {
-  static std::atomic<bool> f{false};
-  return f;
-}
-
-void init_from_env_locked(State& s) {
-  if (s.initialized) return;
-  s.initialized = true;
-  const char* spec = std::getenv("ABG_FAULT_INJECT");
-  if (spec == nullptr || *spec == '\0') return;
-  s.cfg = parse_spec(spec);
-  s.rng = Rng(s.cfg.seed);
-  active_flag().store(s.cfg.any(), std::memory_order_relaxed);
-  if (s.cfg.any()) {
-    ABG_WARN("fault injection active: io=%.3f nan=%.3f cancel_after=%d seed=%llu",
-             s.cfg.io_fail_prob, s.cfg.nan_prob, s.cfg.cancel_after_iterations,
-             static_cast<unsigned long long>(s.cfg.seed));
-  }
 }
 
 }  // namespace
@@ -88,20 +84,18 @@ Config parse_spec(const char* spec) {
 Config config() {
   State& s = state();
   std::lock_guard lk(s.mu);
-  init_from_env_locked(s);
   return s.cfg;
 }
 
 void set_config(const Config& cfg) {
   State& s = state();
   std::lock_guard lk(s.mu);
-  s.initialized = true;  // explicit config overrides the env
   s.cfg = cfg;
   s.rng = Rng(cfg.seed);
-  active_flag().store(cfg.any(), std::memory_order_relaxed);
+  s.active.store(cfg.any(), std::memory_order_relaxed);
 }
 
-bool active() { return active_flag().load(std::memory_order_relaxed); }
+bool active() { return state().active.load(std::memory_order_relaxed); }
 
 bool io_fail(const char* site) {
   if (!active()) return false;

@@ -31,7 +31,8 @@ struct Config {
 // ignored (the injector must never itself be a crash source).
 Config parse_spec(const char* spec);
 
-// Current config; first call reads ABG_FAULT_INJECT.
+// Current config: ABG_FAULT_INJECT, read once when any hook or accessor is
+// first called, unless set_config() has replaced it.
 Config config();
 
 // Replace the config (tests). Resets the injector RNG to cfg.seed.

@@ -215,7 +215,7 @@ TEST(ApiValidation, EngineRejectsBadSpecEagerly) {
 
 TEST(Manifest, ParsesEngineAndJobFields) {
   const char* text = R"({
-    "threads": 8, "max_concurrent_jobs": 2, "share_eval_cache": false,
+    "threads": 8, "max_concurrent_jobs": 2,
     "report": "out.json",
     "jobs": [
       {"name": "reno", "traces": ["a.csv", "b.csv"], "dsl": "reno",
@@ -229,7 +229,6 @@ TEST(Manifest, ParsesEngineAndJobFields) {
   ASSERT_TRUE(m.ok()) << m.status().to_string();
   EXPECT_EQ(m->engine.threads, 8u);
   EXPECT_EQ(m->engine.max_concurrent_jobs, 2u);
-  EXPECT_FALSE(m->engine.share_eval_cache);
   EXPECT_EQ(m->report_path, "out.json");
   ASSERT_EQ(m->jobs.size(), 2u);
 
@@ -270,6 +269,24 @@ TEST(Manifest, RejectsStructuralMistakes) {
                                                    {"traces": []}]})")
                       .status();
   EXPECT_NE(st.to_string().find("jobs[1]"), std::string::npos);
+}
+
+// Specs stored before the "fast_path" key was retired (serve job specs,
+// worker specs) still parse: the key is type-checked, then ignored, and never
+// emitted again.
+TEST(Manifest, RetiredFastPathKeyParsesAndIsNotReEmitted) {
+  auto spec = api::spec_from_json(
+      R"({"name": "old", "traces": ["a.csv"], "dsl": "reno", "fast_path": false})");
+  ASSERT_TRUE(spec.ok()) << spec.status().to_string();
+  EXPECT_EQ(spec->name, "old");
+  const std::string emitted = api::spec_to_json(*spec);
+  EXPECT_EQ(emitted.find("fast_path"), std::string::npos) << emitted;
+  auto again = api::spec_from_json(emitted);
+  ASSERT_TRUE(again.ok()) << again.status().to_string();
+  EXPECT_EQ(api::spec_to_json(*again), emitted);
+  // Still a bool: a malformed value is an error, as before.
+  EXPECT_EQ(api::spec_from_json(R"({"traces": ["a.csv"], "fast_path": 1})").status().code(),
+            util::StatusCode::kInvalidArgument);
 }
 
 // --- Engine end-to-end (uses the synthesis loop, so Z3 territory). ----------
@@ -329,9 +346,9 @@ void expect_same_synthesis(const synth::SynthesisResult& a, const synth::Synthes
   }
 }
 
-// The batch acceptance criterion: a 4-job batch on a shared pool + shared
-// cache produces bit-identical results to the same 4 jobs run sequentially
-// through the legacy entry point.
+// The batch acceptance criterion: a 4-job batch on a shared pool produces
+// bit-identical results to the same 4 jobs run sequentially through the
+// legacy entry point.
 TEST(EngineGolden, FourJobBatchMatchesSequentialRuns) {
   struct Case {
     const char* name;
@@ -362,48 +379,6 @@ TEST(EngineGolden, FourJobBatchMatchesSequentialRuns) {
     EXPECT_EQ(r.name, cases[i].name);
     expect_same_synthesis(sequential[i], r.pipeline.synthesis, cases[i].name);
   }
-}
-
-// Satellite 3: cross-job cache sharing. The second identical job must hit
-// the shared cache (hits > 0) and still return bit-identical results to a
-// fully isolated run.
-TEST(EngineCacheSharing, SecondJobHitsSharedCacheWithIdenticalResults) {
-  const auto segs = cca_segments("reno", 21);
-  const auto isolated = synth::synthesize(dsl::reno_dsl(), segs, quick_opts());
-
-  api::Engine engine({.threads = 2, .max_concurrent_jobs = 1});
-  auto h1 = engine.submit(quick_job("first", dsl::reno_dsl(), segs));
-  auto h2 = engine.submit(quick_job("second", dsl::reno_dsl(), segs));
-  ASSERT_TRUE(h1.ok() && h2.ok());
-  const api::JobResult& r1 = h1->wait();
-  const api::JobResult& r2 = h2->wait();
-  ASSERT_TRUE(r1.ok() && r2.ok());
-
-  expect_same_synthesis(isolated, r1.pipeline.synthesis, "first");
-  expect_same_synthesis(isolated, r2.pipeline.synthesis, "second");
-
-  // Per-job attribution: the second job re-derives the same canonical
-  // handlers over the same segment fingerprint, so the shared cache answers.
-  EXPECT_GT(r2.cache_hits, isolated.cache_hits);
-  EXPECT_GT(r2.cache_hits, 0u);
-  // And with one driver the jobs ran back to back, so job 2's hits come from
-  // job 1's inserts, not its own.
-  EXPECT_LT(r2.cache_misses, r1.cache_misses + r1.cache_hits);
-}
-
-TEST(Engine, ShareEvalCacheOffIsolatesJobs) {
-  const auto segs = cca_segments("reno", 21);
-  api::Engine engine({.threads = 2, .max_concurrent_jobs = 1, .share_eval_cache = false});
-  auto h1 = engine.submit(quick_job("first", dsl::reno_dsl(), segs));
-  auto h2 = engine.submit(quick_job("second", dsl::reno_dsl(), segs));
-  ASSERT_TRUE(h1.ok() && h2.ok());
-  const api::JobResult& r1 = h1->wait();
-  const api::JobResult& r2 = h2->wait();
-  // Identical jobs, isolated caches: identical cache traffic, no cross-job
-  // hits beyond what one run generates for itself.
-  EXPECT_EQ(r1.cache_hits, r2.cache_hits);
-  EXPECT_EQ(r1.cache_misses, r2.cache_misses);
-  expect_same_synthesis(r1.pipeline.synthesis, r2.pipeline.synthesis, "isolated pair");
 }
 
 TEST(Engine, PollWaitAndStreamedIterations) {
@@ -482,17 +457,11 @@ TEST(EngineStatus, SnapshotMatchesFinalResultsAfterCompletion) {
     EXPECT_EQ(s.state, api::JobState::kDone);
     EXPECT_EQ(static_cast<std::size_t>(s.iterations), r.convergence.size());
     EXPECT_EQ(s.planned_iterations, quick_opts().max_iterations);
-    EXPECT_EQ(s.cache_hits, r.cache_hits);
-    EXPECT_EQ(s.cache_misses, r.cache_misses);
     EXPECT_EQ(s.elapsed_s, r.seconds);
     EXPECT_EQ(s.found, r.found());
     EXPECT_EQ(s.exit_class, r.exit_class());
     if (r.found()) {
       EXPECT_EQ(s.best_distance, r.pipeline.synthesis.best.distance);
-    }
-    const double total = static_cast<double>(s.cache_hits + s.cache_misses);
-    if (total > 0) {
-      EXPECT_DOUBLE_EQ(s.cache_hit_rate(), static_cast<double>(s.cache_hits) / total);
     }
   }
   EXPECT_STREQ(api::job_state_name(api::JobState::kDone), "done");
@@ -516,8 +485,6 @@ TEST(EngineStatus, JobsJsonIsValidAndMatchesSnapshot) {
   EXPECT_EQ(j.find("name")->as_string(), "status-job");
   EXPECT_EQ(j.find("state")->as_string(), "done");
   EXPECT_EQ(static_cast<std::size_t>(j.find("iterations")->as_int()), r.convergence.size());
-  EXPECT_EQ(static_cast<std::uint64_t>(j.find("cache_hits")->as_int()), r.cache_hits);
-  EXPECT_EQ(static_cast<std::uint64_t>(j.find("cache_misses")->as_int()), r.cache_misses);
   EXPECT_EQ(j.find("found")->as_bool(), r.found());
   EXPECT_EQ(j.find("exit_class")->as_int(), r.exit_class());
   ASSERT_NE(j.find("eta_s"), nullptr);  // present even when done (-1 = n/a)

@@ -1,6 +1,7 @@
 // ISSUE 7's bit-exactness contract, enforced: the SIMD DTW kernels and the
 // batched bytecode replay path must be indistinguishable from the scalar
-// reference in every result that feeds selection — not approximately, but
+// references (scalar DTW, tree-walk replay, and reference_score_sketch's
+// candidate loop) in every result that feeds selection — not approximately, but
 // bit for bit. Every suite here runs in each CI SIMD matrix leg (ABG_SIMD =
 // avx2/sse2/scalar), so a kernel that diverges on some host breaks the build
 // on that host rather than silently reordering search winners.
@@ -23,6 +24,7 @@
 #include "synth/refinement.hpp"
 #include "synth/replay.hpp"
 #include "trace/trace.hpp"
+#include "reference_eval.hpp"
 #include "util/rng.hpp"
 
 namespace abg::distance {
@@ -335,9 +337,9 @@ TEST(BatchReplay, MatchesScalarReplayBitwise) {
   }
 }
 
-// End-to-end invariance at the score_sketch level: the batched bytecode
-// path and the scalar tree-walk path (and every available DTW kernel under
-// each) must select the same winner with the bitwise-identical distance.
+// End-to-end invariance at the score_sketch level: the scalar reference loop
+// and the production loop under every available DTW kernel must select the
+// same winner with the bitwise-identical distance.
 TEST(BatchSearch, WinnerIdenticalAcrossBatchingAndKernels) {
   util::Rng seg_rng(109);
   std::vector<trace::Segment> segments;
@@ -347,80 +349,81 @@ TEST(BatchSearch, WinnerIdenticalAcrossBatchingAndKernels) {
       dsl::add(dsl::sig(dsl::Signal::kCwnd),
                dsl::mul(dsl::hole(0), dsl::add(dsl::sig(dsl::Signal::kRenoInc),
                                                dsl::hole(1))));
-
-  struct Config {
-    bool batch;
-    distance::Simd simd;
-  };
-  std::vector<Config> configs{{false, distance::Simd::kScalar}, {true, distance::Simd::kScalar}};
-  if (distance::simd_available(distance::Simd::kSse2)) {
-    configs.push_back({true, distance::Simd::kSse2});
-  }
-  if (distance::simd_available(distance::Simd::kAvx2)) {
-    configs.push_back({true, distance::Simd::kAvx2});
-  }
-
-  std::string want_text;
-  double want_distance = 0.0;
+  SynthesisOptions ref_opts;
+  ref_opts.simd = distance::Simd::kScalar;
+  ref_opts.concretize_budget = 24;
+  util::Rng ref_rng(55);  // identical sampling per config
   std::size_t want_scored = 0;
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    SynthesisOptions opts;
-    opts.batch_replay = configs[c].batch;
-    opts.simd = configs[c].simd;
-    opts.concretize_budget = 24;
-    util::Rng rng(55);  // identical sampling per config
+  const auto want = reference_score_sketch(sketch, segments, pool, ref_opts, ref_rng, &want_scored);
+  ASSERT_TRUE(want.valid());
+
+  for (const distance::Simd simd :
+       {distance::Simd::kScalar, distance::Simd::kSse2, distance::Simd::kAvx2}) {
+    if (!distance::simd_available(simd)) continue;
+    SynthesisOptions opts = ref_opts;
+    opts.simd = simd;
+    util::Rng rng(55);
     std::size_t scored = 0;
-    EvalContext ctx;  // no cache, no bound: every distance exact
+    EvalContext ctx;  // no bound: every distance exact
     const auto best = score_sketch(sketch, segments, pool, opts, rng, &scored, &ctx);
     ASSERT_TRUE(best.valid());
-    const std::string text = dsl::to_string(*best.handler);
-    if (c == 0) {
-      want_text = text;
-      want_distance = best.distance;
-      want_scored = scored;
-    } else {
-      EXPECT_EQ(text, want_text) << "config " << c;
-      EXPECT_EQ(best.distance, want_distance) << "config " << c;  // bitwise
-      EXPECT_EQ(scored, want_scored) << "config " << c;
-    }
+    const char* tier = distance::simd_name(simd);
+    EXPECT_EQ(dsl::to_string(*best.handler), dsl::to_string(*want.handler)) << tier;
+    EXPECT_EQ(best.distance, want.distance) << tier;  // bitwise
+    EXPECT_EQ(scored, want_scored) << tier;
   }
 }
 
-// Same invariance with the whole fast path on: memo cache plus a finite
-// abandon bound. Only results below the bound are part of the contract, so
-// pin the winner (which beats the bound) rather than intermediate values.
-TEST(BatchSearch, WinnerSurvivesCacheAndAbandonBound) {
-  util::Rng seg_rng(113);
-  std::vector<trace::Segment> segments;
-  for (int i = 0; i < 2; ++i) segments.push_back(make_segment(seg_rng, 30));
-  const std::vector<double> pool{0.5, 1.0, 2.0};
-  const auto sketch = dsl::add(dsl::sig(dsl::Signal::kCwnd),
-                               dsl::mul(dsl::hole(0), dsl::sig(dsl::Signal::kRenoInc)));
-
-  auto run_once = [&](bool batch) {
-    SynthesisOptions opts;
-    opts.batch_replay = batch;
-    opts.concretize_budget = 16;
-    util::Rng rng(77);
-    EvalCache cache;
-    EvalContext ctx;
-    ctx.cache = &cache;
-    ctx.fingerprint = 42;
-    std::size_t scored = 0;
-    ScoredHandler best = score_sketch(sketch, segments, pool, opts, rng, &scored, &ctx);
-    // Second pass over the same sketch must answer from the cache and keep
-    // the same winner (this is how iteration re-scoring consumes it).
-    util::Rng rng2(77);
-    ScoredHandler again = score_sketch(sketch, segments, pool, opts, rng2, &scored, &ctx);
-    EXPECT_EQ(again.distance, best.distance);
-    return best;
-  };
-  const auto scalar = run_once(false);
-  const auto batched = run_once(true);
-  ASSERT_TRUE(scalar.valid());
-  ASSERT_TRUE(batched.valid());
-  EXPECT_EQ(dsl::to_string(*batched.handler), dsl::to_string(*scalar.handler));
-  EXPECT_EQ(batched.distance, scalar.distance);  // bitwise
+// The production candidate loop against the scalar oracle on random sketches
+// and segments, under every available DTW kernel, with an infinite and two
+// finite bucket bounds. Whenever the reference best beats the bound,
+// score_sketch must return exactly its handler and distance; otherwise its
+// best must not beat the bound either. handlers_scored always matches.
+TEST(EvalOracle, ScoreSketchMatchesReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  util::Rng rng(211);
+  const std::vector<double> pool{0.25, 0.5, 1.0, 2.0, 8.0};
+  int beaten_finite = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const auto sketch = dsl::random_num(rng, 5, /*holes=*/true);
+    std::vector<trace::Segment> segments;
+    const auto n_segments = rng.uniform_int(1, 3);
+    for (std::int64_t i = 0; i < n_segments; ++i) {
+      segments.push_back(make_segment(rng, static_cast<std::size_t>(rng.uniform_int(2, 50))));
+    }
+    const std::uint64_t seed = rng.next_u64();
+    for (const distance::Simd simd :
+         {distance::Simd::kScalar, distance::Simd::kSse2, distance::Simd::kAvx2}) {
+      if (!distance::simd_available(simd)) continue;
+      SynthesisOptions opts;
+      opts.simd = simd;
+      opts.concretize_budget = 20;
+      util::Rng ref_rng(seed);
+      std::size_t ref_scored = 0;
+      const auto ref = reference_score_sketch(sketch, segments, pool, opts, ref_rng, &ref_scored);
+      ASSERT_TRUE(ref.valid()) << dsl::to_string(*sketch);
+      // A bound the reference best beats, and one it ties (and so does not).
+      for (const double bound : {kInf, ref.distance * 1.5 + 1.0, ref.distance}) {
+        util::Rng r(seed);
+        std::size_t scored = 0;
+        EvalContext ctx;
+        ctx.abandon_above = bound;
+        const auto got = score_sketch(sketch, segments, pool, opts, r, &scored, &ctx);
+        const std::string where = dsl::to_string(*sketch) + " simd " +
+                                  distance::simd_name(simd) + " bound " + std::to_string(bound);
+        EXPECT_EQ(scored, ref_scored) << where;
+        if (ref.distance < bound) {
+          if (std::isfinite(bound)) ++beaten_finite;
+          ASSERT_TRUE(got.valid()) << where;
+          EXPECT_EQ(dsl::to_string(*got.handler), dsl::to_string(*ref.handler)) << where;
+          EXPECT_TRUE(dsl::same_double(got.distance, ref.distance)) << where;
+        } else {
+          EXPECT_FALSE(got.distance < bound) << where;
+        }
+      }
+    }
+  }
+  EXPECT_GT(beaten_finite, 0);
 }
 
 }  // namespace

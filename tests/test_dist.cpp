@@ -111,9 +111,7 @@ dist::CoordinatorOptions quick_copts(const Fleet& fleet) {
 }
 
 // Bit-identity: winner, distance (exact double equality — the wire carries
-// hex floats), and the full per-iteration bucket-level report series. Cache
-// tallies are the one sanctioned divergence (per-worker caches), so they are
-// deliberately not compared.
+// hex floats), and the full per-iteration bucket-level report series.
 void expect_bit_identical(const api::JobResult& golden, const api::JobResult& got) {
   ASSERT_TRUE(golden.status.is_ok()) << golden.status.to_string();
   ASSERT_TRUE(got.status.is_ok()) << got.status.to_string();
@@ -494,10 +492,6 @@ TEST(DistCodec, RandomSpecsRoundTripExactly) {
     if (gen() & 1) synth.max_nodes = pick_int(3, 12);
     synth.timeout_s = (gen() & 1) ? std::numeric_limits<double>::infinity()
                                   : static_cast<double>(pick_int(1, 600));
-    const bool fast = (gen() & 1) != 0;
-    synth.use_eval_cache = fast;
-    synth.early_abandon = fast;
-    synth.batch_replay = fast;
     if (gen() & 1) {
       synth.checkpoint_path = "ck-" + std::to_string(trial) + ".bin";
       synth.resume = (gen() & 1) != 0;

@@ -9,9 +9,11 @@
 // with ABG_FAULT_INJECT set without perturbing the deterministic suites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 
 #include "dsl/known_handlers.hpp"
 #include "net/simulator.hpp"
@@ -297,6 +299,77 @@ TEST(Checkpoint, ResumeIsBitIdenticalToUninterruptedRun) {
     EXPECT_EQ(ic.n_target, ia.n_target);
     EXPECT_EQ(ic.keep, ia.keep);
     EXPECT_EQ(ic.segments_used, ia.segments_used);
+    ASSERT_EQ(ic.buckets.size(), ia.buckets.size());
+    for (std::size_t j = 0; j < ia.buckets.size(); ++j) {
+      EXPECT_EQ(ic.buckets[j].label, ia.buckets[j].label);
+      EXPECT_EQ(ic.buckets[j].score, ia.buckets[j].score);
+      EXPECT_EQ(ic.buckets[j].sketches_enumerated, ia.buckets[j].sketches_enumerated);
+      EXPECT_EQ(ic.buckets[j].retained, ia.buckets[j].retained);
+    }
+  }
+}
+
+// Checkpoints written while the evaluation memo cache existed carry two more
+// fields on every `iter` line (its cumulative hit and miss tallies). Such a
+// file must still resume bit-identically to the uninterrupted run.
+TEST(Checkpoint, ResumeFromNineFieldIterLinesIsBitIdentical) {
+  auto segs = reno_segments();
+  SynthesisOptions opts = quick_opts();
+  const std::string ckpt = testing::TempDir() + "/abg_nine_field_ckpt.txt";
+  std::remove(ckpt.c_str());
+
+  auto a = synthesize(dsl::reno_dsl(), segs, opts);
+  ASSERT_TRUE(a.best.valid());
+  {
+    util::fault::Config cfg;
+    cfg.cancel_after_iterations = 1;
+    FaultGuard guard(cfg);
+    SynthesisOptions bopts = opts;
+    bopts.checkpoint_path = ckpt;
+    auto b = synthesize(dsl::reno_dsl(), segs, bopts);
+    ASSERT_TRUE(b.partial);
+  }
+
+  // Rewrite the checkpoint into the older layout: 7-field iter lines gain the
+  // two trailing tally fields.
+  std::string text;
+  {
+    std::ifstream in(ckpt);
+    ASSERT_TRUE(in.good());
+    std::string line;
+    int rewritten = 0;
+    while (std::getline(in, line)) {
+      if (line.rfind("iter\t", 0) == 0) {
+        ASSERT_EQ(std::count(line.begin(), line.end(), '\t'), 6) << line;
+        line += "\t17\t4093";
+        ++rewritten;
+      }
+      text += line + '\n';
+    }
+    ASSERT_GT(rewritten, 0);
+  }
+  {
+    std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
+    out << text;
+    ASSERT_TRUE(out.good());
+  }
+
+  SynthesisOptions copts = opts;
+  copts.checkpoint_path = ckpt;
+  copts.resume = true;
+  auto c = synthesize(dsl::reno_dsl(), segs, copts);
+  ASSERT_TRUE(c.status.is_ok()) << c.status.to_string();
+  ASSERT_TRUE(c.best.valid());
+  EXPECT_EQ(dsl::to_string(*c.best.handler), dsl::to_string(*a.best.handler));
+  EXPECT_EQ(c.best.distance, a.best.distance);
+  ASSERT_EQ(c.iterations.size(), a.iterations.size());
+  for (std::size_t i = 0; i < a.iterations.size(); ++i) {
+    const auto& ia = a.iterations[i];
+    const auto& ic = c.iterations[i];
+    EXPECT_EQ(ic.n_target, ia.n_target);
+    EXPECT_EQ(ic.keep, ia.keep);
+    EXPECT_EQ(ic.segments_used, ia.segments_used);
+    EXPECT_EQ(ic.best_distance, ia.best_distance);
     ASSERT_EQ(ic.buckets.size(), ia.buckets.size());
     for (std::size_t j = 0; j < ia.buckets.size(); ++j) {
       EXPECT_EQ(ic.buckets[j].label, ia.buckets[j].label);

@@ -5,6 +5,7 @@
 
 #include "dsl/known_handlers.hpp"
 #include "net/simulator.hpp"
+#include "obs/registry.hpp"
 #include "synth/refinement.hpp"
 #include "synth/replay.hpp"
 
@@ -152,6 +153,33 @@ TEST(Synthesize, CountsWorkDone) {
   EXPECT_GT(result.total_sketches, 0u);
   EXPECT_GT(result.total_handlers_scored, result.total_sketches / 2);
   EXPECT_GT(result.seconds, 0.0);
+}
+
+// Bucket passes and final validation do the same DTW work however the pool
+// schedules them: one run's distance-counter deltas are equal at 1 and 4
+// threads.
+TEST(Refinement, WorkCountersIndependentOfThreadCount) {
+  auto segs = reno_segments();
+  const char* const names[] = {"distance.dtw_evals", "distance.dtw_cells",
+                               "synth.distance_abandons"};
+  auto work = [&](std::size_t threads) {
+    SynthesisOptions opts = quick_opts();
+    opts.threads = threads;
+    std::vector<std::uint64_t> delta;
+    for (const char* n : names) delta.push_back(obs::counter(n).value());
+    const auto result = synthesize(dsl::reno_dsl(), segs, opts);
+    EXPECT_TRUE(result.best.valid());
+    EXPECT_GT(result.candidates_validated, 1u);
+    for (std::size_t i = 0; i < delta.size(); ++i) {
+      delta[i] = obs::counter(names[i]).value() - delta[i];
+    }
+    return delta;
+  };
+  const auto one = work(1);
+  const auto four = work(4);
+  for (std::size_t i = 0; i < one.size(); ++i) EXPECT_EQ(one[i], four[i]) << names[i];
+  EXPECT_GT(one[0], 0u);
+  EXPECT_GT(one[2], 0u);
 }
 
 }  // namespace

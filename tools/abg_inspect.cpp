@@ -7,7 +7,7 @@
 //   abg_inspect funnel j.journal [--job NAME] [--by bucket|sketch|iteration]
 //                                [--check metrics.json]
 //       The search funnel: sketches -> enumerated candidates -> terminal
-//       outcome (cache hit / evaluated / abandoned) -> selected, grouped by
+//       outcome (evaluated / abandoned) -> selected, grouped by
 //       bucket (default), sketch, or iteration, plus the DTW-level detail
 //       (LB prunes, row abandons, completed evals, cells). With --check,
 //       reconciles the funnel totals against an obs metrics JSON and exits
@@ -29,7 +29,7 @@
 //
 //   abg_inspect diff a.journal b.journal
 //       Funnel deltas between two runs of the same workload (canonically:
-//       fast-path vs --no-fast-path), and whether they selected the same
+//       two identically specified jobs), and whether they selected the same
 //       winner. Exits 1 when the winners differ.
 //
 // Exit: 0 ok, 1 check/diff mismatch, otherwise the usual error classes.
@@ -191,10 +191,10 @@ bool load_counters(const std::string& path, std::map<std::string, double>* out) 
 }
 
 void print_funnel_row(const std::string& key, const Funnel& f) {
-  std::printf("%-24s %8" PRIu64 " %10" PRIu64 " %9" PRIu64 " %9" PRIu64 " %9" PRIu64
+  std::printf("%-24s %8" PRIu64 " %10" PRIu64 " %9" PRIu64 " %9" PRIu64
               " %8" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64 " %12" PRIu64 "\n",
               key.c_str(), f[JournalKind::kSketch], f[JournalKind::kEnumerated],
-              f[JournalKind::kCacheHit], f[JournalKind::kEvaluated],
+              f[JournalKind::kEvaluated],
               f[JournalKind::kAbandoned], f[JournalKind::kSelected],
               f[JournalKind::kLbPrune], f[JournalKind::kRowAbandon],
               f[JournalKind::kDtwEval], f.cells);
@@ -228,9 +228,9 @@ int cmd_funnel(int argc, char** argv) {
     total.add(r);
   }
 
-  std::printf("%-24s %8s %10s %9s %9s %9s %8s %8s %8s %8s %12s\n", "group", "sketches",
-              "enumerated", "cachehit", "evaluated", "abandoned", "selected", "lbprune",
-              "rowabn", "dtweval", "cells");
+  std::printf("%-24s %8s %10s %9s %9s %8s %8s %8s %8s %12s\n", "group", "sketches",
+              "enumerated", "evaluated", "abandoned", "selected", "lbprune", "rowabn", "dtweval",
+              "cells");
   for (const auto& [key, f] : groups) print_funnel_row(key, f);
   if (groups.size() > 1) print_funnel_row("TOTAL", total);
   if (jf.dropped > 0) {
@@ -260,11 +260,8 @@ int cmd_funnel(int argc, char** argv) {
   check_eq("enumerated vs synth.handlers_scored",
            static_cast<double>(total[JournalKind::kEnumerated]),
            counters["synth.handlers_scored"]);
-  check_eq("cachehit vs synth.cache_hits", static_cast<double>(total[JournalKind::kCacheHit]),
-           counters["synth.cache_hits"]);
-  check_eq("cachehit+evaluated+abandoned vs enumerated",
-           static_cast<double>(total[JournalKind::kCacheHit] + total[JournalKind::kEvaluated] +
-                               total[JournalKind::kAbandoned]),
+  check_eq("evaluated+abandoned vs enumerated",
+           static_cast<double>(total[JournalKind::kEvaluated] + total[JournalKind::kAbandoned]),
            static_cast<double>(total[JournalKind::kEnumerated]));
   if (jf.dropped > 0) {
     std::printf("MISMATCH dropped events: %" PRIu64 " (funnel is incomplete)\n", jf.dropped);
@@ -337,9 +334,8 @@ int cmd_near_misses(int argc, char** argv) {
     return 1;
   }
 
-  // Best finite distance each candidate ever achieved, over its terminal
-  // events. Cache hits count: the candidate was that close even if the
-  // number came from the memo table.
+  // Best finite distance each candidate ever achieved, over its evaluated
+  // events.
   struct Best {
     double distance = 0.0;
     const JournalRecord* rec = nullptr;
@@ -347,7 +343,7 @@ int cmd_near_misses(int argc, char** argv) {
   std::map<std::uint64_t, Best> best;
   for (const auto& r : jf.records) {
     if (r.candidate == 0 || !std::isfinite(r.distance)) continue;
-    if (!is_kind(r, JournalKind::kEvaluated) && !is_kind(r, JournalKind::kCacheHit)) continue;
+    if (!is_kind(r, JournalKind::kEvaluated)) continue;
     auto [it, fresh] = best.try_emplace(r.candidate, Best{r.distance, &r});
     if (!fresh && r.distance < it->second.distance) it->second = Best{r.distance, &r};
   }
