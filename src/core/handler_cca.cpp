@@ -6,6 +6,7 @@
 
 #include "dsl/eval.hpp"
 #include "obs/registry.hpp"
+#include "synth/replay.hpp"
 
 namespace abg::core {
 
@@ -29,8 +30,7 @@ double HandlerCca::clamp(double next) const {
   if (!std::isfinite(next)) {
     // Hold on numeric trouble, but count it: a synthesized handler that
     // routinely produces NaN/inf is suspect even though the hold masks it.
-    static auto& c_nonfinite = obs::counter("synth.nonfinite_cwnd");
-    c_nonfinite.add();
+    synth::nonfinite_cwnd_counter().add();
     return cwnd_;
   }
   return std::clamp(next, 2.0 * mss_, 1e7 * mss_);

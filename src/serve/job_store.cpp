@@ -243,7 +243,10 @@ util::Status JobStore::record_terminal(const std::string& id, JobPhase phase,
     }
   }
   std::string payload = std::string(job_phase_name(phase)) + "\t" + id;
-  if (phase == JobPhase::kFailed) payload += "\t" + sanitize(error);
+  if (phase == JobPhase::kFailed) {
+    payload += '\t';
+    payload += sanitize(error);
+  }
   if (auto st = wal_.append(payload); !st.is_ok()) return st;
   it->second.phase = phase;
   it->second.error = phase == JobPhase::kFailed ? error : "";

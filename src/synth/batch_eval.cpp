@@ -52,7 +52,7 @@ void replay_batch(const dsl::Program& prog,
         if (std::isfinite(next[l])) {
           cwnd[l] = std::clamp(next[l], lo, hi);
         } else {
-          static auto& c_nonfinite = obs::counter("synth.nonfinite_cwnd");
+          auto& c_nonfinite = nonfinite_cwnd_counter();
           c_nonfinite.add();
           ABG_WARN_EVERY_N(100000,
                            "replay: candidate handler produced non-finite cwnd; holding "

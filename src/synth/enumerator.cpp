@@ -3,6 +3,8 @@
 #include <z3++.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <optional>
 #include <unordered_set>
 
 #include "dsl/simplify.hpp"
@@ -33,13 +35,13 @@ struct ProdIds {
   }
 };
 
-}  // namespace
-
-struct SketchEnumerator::Impl {
-  dsl::Dsl dsl;
-  EnumeratorOptions opts;
+// The Z3 encoding of one (sub-)space: a context, one production selector
+// (plus unit exponents when unit-checking) per heap node, and the permanent
+// constraints. Built only for a space that can hold a sketch.
+struct Encoding {
+  const dsl::Dsl& dsl;
+  const EnumeratorOptions& opts;
   ProdIds ids;
-  int max_depth;
   int max_nodes;
   std::size_t node_total;  // heap size: (3^depth - 1) / 2
 
@@ -48,34 +50,10 @@ struct SketchEnumerator::Impl {
   std::vector<z3::expr> prod;  // per-node production selector
   std::vector<z3::expr> ub, us;  // per-node unit exponents (if unit_check)
 
-  bool exhausted = false;
-  std::size_t models = 0;
-  std::size_t emitted = 0;
-  std::unordered_set<std::size_t> seen_hashes;
-  // Sketches are enumerated in increasing size (node count): the refinement
-  // loop samples the first N of a bucket, and small expressions are both the
-  // likeliest true handlers and the cheapest to score. The size target is
-  // passed as a per-check assumption so blocking clauses stay permanent.
-  int current_size = 1;
-
-  // A sketch using *exactly* the operator set B needs at least
-  // 1 + sum(arity(o)) nodes: >= |B| internal nodes, and a tree with those
-  // internal nodes has 1 + sum(arity - 1) leaves. Starting at this bound
-  // avoids grinding UNSAT proofs at impossible sizes, and buckets whose
-  // bound exceeds max_nodes are empty outright.
-  int min_feasible_size() const {
-    if (!opts.bucket) return 1;
-    int bound = 1;
-    for (dsl::Op o : *opts.bucket) bound += dsl::op_arity(o);
-    return bound;
-  }
-
-  Impl(const dsl::Dsl& d, EnumeratorOptions o)
-      : dsl(d), opts(std::move(o)), ids(d), solver(ctx) {
-    max_depth = opts.max_depth.value_or(dsl.max_depth);
-    max_nodes = opts.max_nodes.value_or(dsl.max_nodes);
-    current_size = min_feasible_size();
-    if (current_size > max_nodes) exhausted = true;
+  Encoding(const dsl::Dsl& d, const EnumeratorOptions& o, int max_depth, int max_nodes_)
+      : dsl(d), opts(o), ids(d), max_nodes(max_nodes_), solver(ctx) {
+    static auto& c_contexts = obs::counter("synth.solver_contexts");
+    c_contexts.add();
     node_total = 1;
     std::size_t layer = 1;
     for (int i = 1; i < max_depth; ++i) {
@@ -103,11 +81,16 @@ struct SketchEnumerator::Impl {
   static std::size_t child(std::size_t i, int k) { return 3 * i + 1 + static_cast<std::size_t>(k); }
 
   void build_vars() {
+    char name[32];
+    auto var = [&](const char* prefix, std::size_t i) {
+      std::snprintf(name, sizeof(name), "%s%zu", prefix, i);
+      return ctx.int_const(name);
+    };
     for (std::size_t i = 0; i < node_total; ++i) {
-      prod.push_back(ctx.int_const(("p" + std::to_string(i)).c_str()));
+      prod.push_back(var("p", i));
       if (opts.unit_check) {
-        ub.push_back(ctx.int_const(("ub" + std::to_string(i)).c_str()));
-        us.push_back(ctx.int_const(("us" + std::to_string(i)).c_str()));
+        ub.push_back(var("ub", i));
+        us.push_back(var("us", i));
       }
     }
   }
@@ -370,27 +353,70 @@ struct SketchEnumerator::Impl {
     }
     return z3::sum(actives) == k;
   }
+};
+
+}  // namespace
+
+struct SketchEnumerator::Impl {
+  dsl::Dsl dsl;
+  EnumeratorOptions opts;
+  int max_nodes;
+  // Absent when no sketch fits the node budget: such a space is empty
+  // outright and never pays for a Z3 context.
+  std::optional<Encoding> smt;
+
+  bool exhausted = false;
+  std::size_t models = 0;
+  std::size_t emitted = 0;
+  std::unordered_set<std::size_t> seen_hashes;
+  // Sketches are enumerated in increasing size (node count): the refinement
+  // loop samples the first N of a bucket, and small expressions are both the
+  // likeliest true handlers and the cheapest to score. The size target is
+  // passed as a per-check assumption so blocking clauses stay permanent.
+  int current_size = 1;
+
+  // A sketch using *exactly* the operator set B needs at least
+  // 1 + sum(arity(o)) nodes: >= |B| internal nodes, and a tree with those
+  // internal nodes has 1 + sum(arity - 1) leaves. Starting at this bound
+  // avoids grinding UNSAT proofs at impossible sizes, and buckets whose
+  // bound exceeds max_nodes are empty outright.
+  int min_feasible_size() const {
+    if (!opts.bucket) return 1;
+    int bound = 1;
+    for (dsl::Op o : *opts.bucket) bound += dsl::op_arity(o);
+    return bound;
+  }
+
+  Impl(const dsl::Dsl& d, EnumeratorOptions o) : dsl(d), opts(std::move(o)) {
+    max_nodes = opts.max_nodes.value_or(dsl.max_nodes);
+    current_size = min_feasible_size();
+    if (current_size > max_nodes) {
+      exhausted = true;
+      return;
+    }
+    smt.emplace(dsl, opts, opts.max_depth.value_or(dsl.max_depth), max_nodes);
+  }
 
   std::optional<dsl::ExprPtr> next() {
     static auto& c_models = obs::counter("synth.solver_models");
     static auto& c_emitted = obs::counter("synth.sketches_emitted");
     while (!exhausted) {
       // Smallest-first: exhaust all size-k sketches before size k+1.
-      z3::expr_vector assumptions(ctx);
-      assumptions.push_back(size_assumption(current_size));
-      if (solver.check(assumptions) != z3::sat) {
+      z3::expr_vector assumptions(smt->ctx);
+      assumptions.push_back(smt->size_assumption(current_size));
+      if (smt->solver.check(assumptions) != z3::sat) {
         if (++current_size > max_nodes) {
           exhausted = true;
           return std::nullopt;
         }
         continue;
       }
-      const z3::model m = solver.get_model();
+      const z3::model m = smt->solver.get_model();
       ++models;
       c_models.add();
       int next_hole = 0;
-      dsl::ExprPtr sketch = decode(m, 0, next_hole);
-      block(m);
+      dsl::ExprPtr sketch = smt->decode(m, 0, next_hole);
+      smt->block(m);
       if (!sketch) continue;
       // Richer syntactic filter + commutative dedup (the post-filter half of
       // the paper's sympy-based non-simplifiability check).

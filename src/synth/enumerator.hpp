@@ -11,6 +11,11 @@
 // Each model is decoded into a sketch and blocked; models that the richer
 // syntactic simplifiability filter rejects are blocked without being
 // emitted, and commutative duplicates are deduplicated via canonical forms.
+//
+// A bucket whose operator set needs more nodes than the bound allows
+// (1 + the sum of its arities > max_nodes) is empty: its enumerator builds no
+// Z3 context and starts exhausted. Every Z3 context built counts into the
+// "synth.solver_contexts" counter.
 #pragma once
 
 #include <cstddef>

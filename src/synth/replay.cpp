@@ -12,6 +12,11 @@
 
 namespace abg::synth {
 
+obs::Counter& nonfinite_cwnd_counter() {
+  static auto& c = obs::counter("synth.nonfinite_cwnd");
+  return c;
+}
+
 std::vector<double> replay(const dsl::Expr& handler, const trace::Segment& segment,
                            const ReplayOptions& opts) {
   std::vector<double> out;
@@ -34,7 +39,7 @@ std::vector<double> replay(const dsl::Expr& handler, const trace::Segment& segme
       } else {
         // Hold the previous window — a candidate that divides by zero or
         // overflows must degrade, not propagate NaN into the distance layer.
-        static auto& c_nonfinite = obs::counter("synth.nonfinite_cwnd");
+        auto& c_nonfinite = nonfinite_cwnd_counter();
         c_nonfinite.add();
         ABG_WARN_EVERY_N(100000,
                          "replay: candidate handler produced non-finite cwnd; holding "

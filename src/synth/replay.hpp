@@ -11,7 +11,16 @@
 #include "dsl/expr.hpp"
 #include "trace/trace.hpp"
 
+namespace abg::obs {
+class Counter;
+}
+
 namespace abg::synth {
+
+// The "synth.nonfinite_cwnd" counter: handler evaluations whose output was
+// non-finite, so the previous window was held. Tree-walk replay, batch
+// replay and core::HandlerCca all count here.
+obs::Counter& nonfinite_cwnd_counter();
 
 struct ReplayOptions {
   // Window clamp applied after every handler evaluation; non-finite outputs

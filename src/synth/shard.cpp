@@ -69,6 +69,9 @@ ScoredHandler run_bucket_pass(const dsl::Dsl& dsl, const SynthesisOptions& opts,
     c_sketches.add();
     st.sketches.push_back(std::move(*s));
   }
+  // An exhausted bucket never asks for another sketch: free its solver now,
+  // on the thread that ran the pass, not at executor teardown.
+  if (st.exhausted) st.enumerator.reset();
   ScoredHandler bucket_best;
   for (const auto& sk : st.sketches) {
     if (ctx) ctx->abandon_above = bucket_best.distance;
@@ -153,6 +156,7 @@ util::Status bucket_state_from_checkpoint(const dsl::Dsl& dsl, const SynthesisOp
       st->sketches.push_back(std::move(*s));
     }
     st->exhausted = was_exhausted;
+    if (st->exhausted) st->enumerator.reset();
   }
   return util::Status::ok();
 }
@@ -178,16 +182,24 @@ LocalExecutor::LocalExecutor(const dsl::Dsl& dsl, const std::vector<trace::Segme
 }
 
 LocalExecutor::~LocalExecutor() {
-  // A preempted run owes its caller a prompt return, but each started
-  // bucket's enumerator owns a Z3 context whose teardown takes tens of
-  // milliseconds: a few dozen of them would overshoot the deadline by a
-  // second. After an interrupted pass they are freed in the background.
-  if (!interrupted_) return;
-  auto enumerators = std::make_shared<std::vector<std::unique_ptr<SketchEnumerator>>>();
+  obs::TraceSpan span("synth.teardown", "synth");
+  // Each enumerator still held owns a Z3 context whose teardown takes tens
+  // of milliseconds. An uninterrupted run frees them in parallel on the pool
+  // (caller-runs, so a pool shared with other jobs still makes progress). A
+  // preempted run owes its caller a prompt return: a few dozen teardowns
+  // would overshoot the deadline by a second, so it hands them to the
+  // background thread instead.
+  std::vector<std::unique_ptr<SketchEnumerator>> live;
   for (auto& st : states_) {
-    if (st.enumerator) enumerators->push_back(std::move(st.enumerator));
+    if (st.enumerator) live.push_back(std::move(st.enumerator));
   }
-  if (!enumerators->empty()) util::run_in_background([enumerators] { enumerators->clear(); });
+  if (live.empty()) return;
+  if (!interrupted_) {
+    pool_->parallel_for(live.size(), [&live](std::size_t i) { live[i].reset(); });
+    return;
+  }
+  auto held = std::make_shared<decltype(live)>(std::move(live));
+  util::run_in_background([held] { held->clear(); });
 }
 
 void LocalExecutor::score_bucket(BucketSearchState& st, std::size_t target, int iter,

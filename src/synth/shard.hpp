@@ -52,7 +52,8 @@ std::uint32_t journal_job_id(const SynthesisOptions& opts);
 // Mutable per-bucket search state kept across iterations.
 struct BucketSearchState {
   Bucket bucket;
-  std::unique_ptr<SketchEnumerator> enumerator;  // created on first use
+  // Created on first use; freed as soon as the bucket is exhausted.
+  std::unique_ptr<SketchEnumerator> enumerator;
   std::vector<dsl::ExprPtr> sketches;            // enumerated so far
   ScoredHandler best;                            // best under the *current* segment set
   std::size_t handlers_scored = 0;
@@ -73,8 +74,9 @@ struct BucketSearchState {
 // re-score ALL of st's sketches under `working` (Algorithm 1 line 5), each
 // bounded by the bucket's own running best (the per-bucket minimum feeds the
 // top-k ranking and must stay exact). `stop` is polled after every sketch;
-// once a valid best exists a fired stop ends the pass with best-so-far. Sets
-// st.best and returns it.
+// once a valid best exists a fired stop ends the pass with best-so-far. A
+// pass that exhausts the bucket frees its enumerator. Sets st.best and
+// returns it.
 ScoredHandler run_bucket_pass(const dsl::Dsl& dsl, const SynthesisOptions& opts,
                               BucketSearchState& st, std::size_t target,
                               const std::vector<trace::Segment>& working, EvalContext* ctx,
@@ -99,7 +101,9 @@ util::Status bucket_state_from_checkpoint(const dsl::Dsl& dsl, const SynthesisOp
 // (effective_distance_options). Passes run on opts.pool when set, else on a
 // private pool of opts.threads workers (0 = hardware concurrency). An
 // interrupted pass reports every bucket complete: each one ends with its
-// best-so-far.
+// best-so-far. Destruction frees the enumerators still held inside one
+// "synth.teardown" span: on the pool after an uninterrupted run, on the
+// background thread after an interrupted one.
 class LocalExecutor final : public PassExecutor {
  public:
   LocalExecutor(const dsl::Dsl& dsl, const std::vector<trace::Segment>& segments,

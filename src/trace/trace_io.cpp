@@ -104,7 +104,7 @@ util::Result<Trace> from_csv(const std::string& csv, const LoadOptions& opts) {
     return Status(StatusCode::kParseError, "column header mismatch (corrupted file?)");
   }
   ValidateStats stats;
-  static auto& c_dropped = obs::counter("trace.rows_dropped");
+  auto& c_dropped = rows_dropped_counter();
   for (std::size_t i = 2; i < rows.size(); ++i) {
     const auto& r = rows[i];
     if (r.size() != kNumColumns) {

@@ -84,8 +84,13 @@ Status validate_environment(const Environment& env) {
 
 }  // namespace
 
+obs::Counter& rows_dropped_counter() {
+  static auto& c = obs::counter("trace.rows_dropped");
+  return c;
+}
+
 util::Status validate_trace(Trace& t, const ValidateOptions& opts, ValidateStats* stats) {
-  static auto& c_dropped = obs::counter("trace.rows_dropped");
+  auto& c_dropped = rows_dropped_counter();
   static auto& c_repaired = obs::counter("trace.rows_repaired");
 
   if (auto st = validate_environment(t.env); !st.is_ok()) return st;

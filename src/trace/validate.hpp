@@ -11,6 +11,10 @@
 #include "trace/trace.hpp"
 #include "util/status.hpp"
 
+namespace abg::obs {
+class Counter;
+}
+
 namespace abg::trace {
 
 struct ValidateOptions {
@@ -27,6 +31,10 @@ struct ValidateStats {
   std::size_t rows_dropped = 0;
   std::size_t rows_repaired = 0;
 };
+
+// The "trace.rows_dropped" counter, shared by validate_trace and the CSV
+// loader's repair mode.
+obs::Counter& rows_dropped_counter();
 
 // Validates (and in repair mode rewrites) `t` in place.
 util::Status validate_trace(Trace& t, const ValidateOptions& opts = {},

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "api/engine.hpp"
@@ -37,19 +39,27 @@ namespace {
 
 // --- Shared fixture: a seeded reno trace on disk + a quick job spec. --------
 
+// One trace file per process, removed at exit: ctest runs each test in its
+// own process, in parallel, and a shared path would be read by one process
+// while another rewrites it.
 const std::string& reno_csv() {
-  static const std::string path = [] {
+  struct TempFile {
+    std::string path;
+    ~TempFile() { std::remove(path.c_str()); }
+  };
+  static const TempFile file{[] {
     trace::Environment env;
     env.bandwidth_bps = 10e6;
     env.rtt_s = 0.04;
     env.duration_s = 10.0;
     env.seed = 21;
     auto t = net::run_connection("reno", env);
-    const std::string p = testing::TempDir() + "abg_dist_reno.csv";
+    const std::string p =
+        testing::TempDir() + "abg_dist_reno_" + std::to_string(::getpid()) + ".csv";
     EXPECT_TRUE(trace::save_csv(t, p).is_ok());
     return p;
-  }();
-  return path;
+  }()};
+  return file.path;
 }
 
 std::string quick_spec_json() {

@@ -5,6 +5,7 @@
 #include "dsl/dsl.hpp"
 #include "dsl/simplify.hpp"
 #include "dsl/units.hpp"
+#include "obs/registry.hpp"
 #include "synth/buckets.hpp"
 #include "synth/enumerator.hpp"
 
@@ -204,6 +205,47 @@ TEST(Enumerator, CountsModelsAndEmissions) {
   }
   EXPECT_GE(e.models_enumerated(), e.sketches_emitted());
   EXPECT_EQ(e.sketches_emitted(), 10u);
+}
+
+// A bucket whose operators need more nodes than max_nodes allows is empty and
+// builds no Z3 context; every other bucket builds exactly one.
+TEST(Enumerator, SizeInfeasibleBucketsBuildNoSolver) {
+  const auto d = dsl::reno_dsl();
+  EnumeratorOptions o;
+  o.max_depth = 3;
+  o.max_nodes = 5;
+  o.max_holes = 2;
+  const auto buckets = make_buckets(d);
+  std::size_t feasible = 0;
+  std::vector<bool> fits;
+  for (const auto& b : buckets) {
+    int need = 1;
+    for (dsl::Op op : b.ops) need += dsl::op_arity(op);
+    fits.push_back(need <= *o.max_nodes);
+    feasible += fits.back() ? 1 : 0;
+  }
+  ASSERT_EQ(buckets.size(), 128u);
+  EXPECT_EQ(feasible, 11u);
+
+  auto& contexts = obs::counter("synth.solver_contexts");
+  const std::uint64_t before = contexts.value();
+  std::vector<std::unique_ptr<SketchEnumerator>> enumerators;
+  for (const auto& b : buckets) {
+    EnumeratorOptions bo = o;
+    bo.bucket = b.ops;
+    enumerators.push_back(std::make_unique<SketchEnumerator>(d, bo));
+  }
+  EXPECT_EQ(contexts.value() - before, feasible);
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    if (fits[i]) {
+      EXPECT_FALSE(enumerators[i]->exhausted()) << buckets[i].label;
+      continue;
+    }
+    EXPECT_TRUE(enumerators[i]->exhausted()) << buckets[i].label;
+    EXPECT_EQ(enumerators[i]->models_enumerated(), 0u) << buckets[i].label;
+    EXPECT_FALSE(enumerators[i]->next().has_value()) << buckets[i].label;
+    EXPECT_EQ(enumerators[i]->sketches_emitted(), 0u) << buckets[i].label;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "obs/registry.hpp"
 #include "synth/refinement.hpp"
 #include "synth/replay.hpp"
+#include "synth/shard.hpp"
 
 namespace abg::synth {
 namespace {
@@ -180,6 +181,26 @@ TEST(Refinement, WorkCountersIndependentOfThreadCount) {
   for (std::size_t i = 0; i < one.size(); ++i) EXPECT_EQ(one[i], four[i]) << names[i];
   EXPECT_GT(one[0], 0u);
   EXPECT_GT(one[2], 0u);
+}
+
+// A pass that runs a bucket dry frees its enumerator on the spot; the bucket
+// keeps its sketches and best and never enumerates again.
+TEST(Refinement, ExhaustedBucketReleasesItsEnumerator) {
+  const auto segs = reno_segments();
+  ASSERT_GE(segs.size(), 2u);
+  const auto d = dsl::reno_dsl();
+  const SynthesisOptions opts = quick_opts();
+  BucketSearchState st;
+  st.bucket = make_buckets(d).front();
+  ASSERT_TRUE(st.bucket.ops.empty()) << st.bucket.label;  // leaf-only: a tiny bucket
+  st.rng = util::Rng(bucket_rng_seed(st.bucket.label, opts.seed));
+  const auto best = run_bucket_pass(d, opts, st, 1000, {segs[0], segs[1]}, nullptr,
+                                    [] { return false; });
+  EXPECT_TRUE(st.exhausted);
+  EXPECT_EQ(st.enumerator, nullptr);
+  EXPECT_FALSE(st.sketches.empty());
+  EXPECT_LT(st.sketches.size(), 1000u);
+  EXPECT_TRUE(best.valid());
 }
 
 }  // namespace

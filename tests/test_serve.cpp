@@ -72,19 +72,28 @@ void append_raw(const std::string& path, const std::string& bytes) {
 // Shared quick-synthesis fixture: a reno trace on disk plus the spec JSON
 // that reverse-engineers it with small budgets. Everything is seeded, so two
 // runs of this spec are deterministic.
+//
+// One trace file per process, removed at exit: ctest runs each test in its
+// own process, in parallel, and a shared path would be read by one process
+// while another rewrites it.
 const std::string& reno_csv() {
-  static const std::string path = [] {
+  struct TempFile {
+    std::string path;
+    ~TempFile() { std::remove(path.c_str()); }
+  };
+  static const TempFile file{[] {
     trace::Environment env;
     env.bandwidth_bps = 10e6;
     env.rtt_s = 0.04;
     env.duration_s = 10.0;
     env.seed = 21;
     auto t = net::run_connection("reno", env);
-    const std::string p = testing::TempDir() + "abg_serve_reno.csv";
+    const std::string p =
+        testing::TempDir() + "abg_serve_reno_" + std::to_string(::getpid()) + ".csv";
     EXPECT_TRUE(trace::save_csv(t, p).is_ok());
     return p;
-  }();
-  return path;
+  }()};
+  return file.path;
 }
 
 std::string quick_spec_json() {
