@@ -7,7 +7,6 @@
 
 #include "distance/distance.hpp"
 #include "dsl/bytecode.hpp"
-#include "dsl/eval.hpp"
 #include "dsl/known_handlers.hpp"
 #include "dsl/units.hpp"
 #include "net/simulator.hpp"
@@ -101,8 +100,10 @@ void BM_Frechet(benchmark::State& state) {
 }
 BENCHMARK(BM_Frechet)->Range(64, 512);
 
+// One handler evaluation as replay_trace and core::HandlerCca step it: the
+// handler compiled once, then one lane of run_batch per ACK.
 void BM_EvalHandler(benchmark::State& state) {
-  const auto& h = *dsl::known_handlers("vegas").fine_tuned;
+  const dsl::Program prog = dsl::compile(*dsl::known_handlers("vegas").fine_tuned);
   cca::Signals sig;
   sig.mss = 1448;
   sig.cwnd = 50 * 1448;
@@ -111,8 +112,10 @@ void BM_EvalHandler(benchmark::State& state) {
   sig.min_rtt = 0.05;
   sig.max_rtt = 0.08;
   sig.ack_rate = 1e6;
+  double out = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(dsl::eval(h, sig));
+    dsl::run_batch(prog, sig, {&sig.cwnd, 1}, {}, 1, &out);
+    benchmark::DoNotOptimize(out);
   }
 }
 BENCHMARK(BM_EvalHandler);
@@ -130,12 +133,10 @@ void BM_Replay(benchmark::State& state) {
 }
 BENCHMARK(BM_Replay);
 
-// Batched bytecode replay vs. the scalar path it replaces: one compiled
-// sketch, kBatchLanes hole-assignments, one segment. BM_ReplayLanesScalar
-// does the same work the pre-batching loop did (fill_holes + tree-walk replay
-// per candidate); the ratio is the per-candidate win the refinement loop sees.
+// Batched replay as score_sketch runs it: one compiled sketch, kBatchLanes
+// hole-assignments, one segment. Compare per item with BM_Replay (one lane,
+// as final validation runs it) for the per-candidate win of batching.
 struct ReplayBatchFixture {
-  dsl::ExprPtr sketch;
   dsl::Program prog;
   std::vector<std::vector<double>> assigns;
   std::vector<const std::vector<double>*> lanes;
@@ -146,7 +147,7 @@ struct ReplayBatchFixture {
     env.duration_s = 10.0;
     auto t = net::run_connection("reno", env);
     segment = std::move(trace::segment_all({t}, 20).front());
-    sketch = dsl::to_sketch(dsl::known_handlers("reno").fine_tuned);
+    const auto sketch = dsl::to_sketch(dsl::known_handlers("reno").fine_tuned);
     prog = dsl::compile(*sketch);
     util::Rng rng(7);
     const std::size_t holes = dsl::hole_ids(*sketch).size();
@@ -170,19 +171,6 @@ void BM_ReplayBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(dsl::kBatchLanes));
 }
 BENCHMARK(BM_ReplayBatch);
-
-void BM_ReplayLanesScalar(benchmark::State& state) {
-  static const ReplayBatchFixture fx;
-  for (auto _ : state) {
-    for (const auto& a : fx.assigns) {
-      const auto handler = dsl::fill_holes(fx.sketch, a);
-      benchmark::DoNotOptimize(synth::replay(*handler, fx.segment));
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(dsl::kBatchLanes));
-}
-BENCHMARK(BM_ReplayLanesScalar);
 
 void BM_SegmentDistance(benchmark::State& state) {
   trace::Environment env;

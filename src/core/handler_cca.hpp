@@ -4,10 +4,15 @@
 // paper motivates (§2.1): utilization, fairness against incumbents,
 // burstiness. The ack handler is the synthesized cwnd-on-ack expression;
 // the loss handler defaults to multiplicative halving or can be a second
-// synthesized expression (synth::synthesize_loss_handler).
+// synthesized expression (synth::synthesize_loss_handler). Both handlers
+// are compiled once, at construction, and stepped one lane at a time through
+// the same bytecode interpreter the search scores candidates with.
 #pragma once
 
+#include <optional>
+
 #include "cca/cca.hpp"
+#include "dsl/bytecode.hpp"
 #include "dsl/expr.hpp"
 
 namespace abg::core {
@@ -26,10 +31,11 @@ class HandlerCca final : public cca::CcaInterface {
   double on_loss(const cca::Signals& sig) override;
 
  private:
+  double step(const dsl::Program& handler, const cca::Signals& sig) const;
   double clamp(double next) const;
 
-  dsl::ExprPtr ack_handler_;
-  dsl::ExprPtr loss_handler_;  // may be null
+  dsl::Program ack_handler_;
+  std::optional<dsl::Program> loss_handler_;
   std::string name_;
   double mss_ = 1448.0;
   double cwnd_ = 10 * 1448.0;

@@ -4,15 +4,13 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "dsl/eval.hpp"
-
 namespace abg::dsl {
 
 namespace {
 
-// Operand-stack capacity the interpreters keep on the C stack. The DSL's
-// enumerator caps expressions far below this; compile() reports the true
-// high-water mark and the interpreters fall back to a heap stack above it.
+// Operand-stack depth run_batch keeps on the C stack. The DSL's enumerator
+// caps expressions far below this; compile() reports the true high-water
+// mark and run_batch falls back to a heap stack above it.
 constexpr std::size_t kBcStackCap = 64;
 
 struct Compiler {
@@ -80,9 +78,9 @@ struct Compiler {
         emit(BcOp::kCbrt, 0, 0);
         return;
       case Op::kCond:
-        // eval_bool statically rejects any guard that is not a boolean
-        // operator (it returns false without evaluating the child), so such
-        // guards lower to a pushed 0.0 and the child is not compiled.
+        // A guard that is not a comparison is statically false (its child
+        // is never evaluated), so it lowers to a pushed 0.0 and the child
+        // is not compiled.
         if (e.children[0]->is_bool()) {
           lower(*e.children[0]);
         } else {
@@ -96,13 +94,6 @@ struct Compiler {
   }
 };
 
-inline double hole_binding(std::span<const double> holes, std::size_t slot) {
-  // fill_holes's clamp: an empty binding vector means 1.0, a short one
-  // repeats its last element.
-  if (holes.empty()) return 1.0;
-  return holes[std::min(slot, holes.size() - 1)];
-}
-
 inline double mod_eq_pred(double a, double b) {
   const double fa = std::fabs(a);
   const double fb = std::fabs(b);
@@ -111,73 +102,10 @@ inline double mod_eq_pred(double a, double b) {
   return (r <= kModTolerance * fb || r >= fb * (1.0 - kModTolerance)) ? 1.0 : 0.0;
 }
 
-double exec(const Program& p, const cca::Signals& sig, std::span<const double> holes,
-            double* stack) {
-  double* sp = stack;  // points one past the top
-  for (const BcInst inst : p.code) {
-    switch (inst.op) {
-      case BcOp::kPushSignal:
-        *sp++ = signal_value(static_cast<Signal>(inst.arg), sig);
-        break;
-      case BcOp::kPushConst:
-        *sp++ = p.consts[inst.arg];
-        break;
-      case BcOp::kPushHole:
-        *sp++ = hole_binding(holes, inst.arg);
-        break;
-      case BcOp::kAdd:
-        sp[-2] = sp[-2] + sp[-1];
-        --sp;
-        break;
-      case BcOp::kSub:
-        sp[-2] = sp[-2] - sp[-1];
-        --sp;
-        break;
-      case BcOp::kMul:
-        sp[-2] = sp[-2] * sp[-1];
-        --sp;
-        break;
-      case BcOp::kDivGuard:
-        sp[-2] = sp[-1] != 0.0 ? sp[-2] / sp[-1] : 0.0;
-        --sp;
-        break;
-      case BcOp::kCube: {
-        const double v = sp[-1];
-        sp[-1] = v * v * v;
-        break;
-      }
-      case BcOp::kCbrt:
-        sp[-1] = std::cbrt(sp[-1]);
-        break;
-      case BcOp::kLt:
-        sp[-2] = sp[-2] < sp[-1] ? 1.0 : 0.0;
-        --sp;
-        break;
-      case BcOp::kGt:
-        sp[-2] = sp[-2] > sp[-1] ? 1.0 : 0.0;
-        --sp;
-        break;
-      case BcOp::kModEq:
-        sp[-2] = mod_eq_pred(sp[-2], sp[-1]);
-        --sp;
-        break;
-      case BcOp::kSelect:
-        sp[-3] = sp[-3] != 0.0 ? sp[-2] : sp[-1];
-        sp -= 2;
-        break;
-      case BcOp::kPushFalse:
-        *sp++ = 0.0;
-        break;
-    }
-  }
-  return sp == stack ? 0.0 : sp[-1];
-}
-
-// Lane-strided variant: slot i of the operand stack occupies
-// stacks[i * kBatchLanes .. +n_lanes). Every opcode applies elementwise, so
-// lane L's value stream is exactly the stream exec() would produce for the
-// same program with lane L's cwnd and bindings — bit-identical by
-// construction (same ops, same order, no cross-lane arithmetic).
+// Slot i of the operand stack occupies stacks[i * kBatchLanes .. +n_lanes).
+// Every opcode applies elementwise, so lane L's value stream is the one a
+// lone run of lane L would produce (same ops, same order, no cross-lane
+// arithmetic).
 void exec_batch(const Program& p, const cca::Signals& sig, std::span<const double> lane_cwnd,
                 std::span<const double> holes, std::size_t n_lanes, double* stacks,
                 double* out) {
@@ -191,8 +119,8 @@ void exec_batch(const Program& p, const cca::Signals& sig, std::span<const doubl
         if (sgn == Signal::kCwnd) {
           for (std::size_t l = 0; l < n_lanes; ++l) s[l] = lane_cwnd[l];
         } else if (sgn == Signal::kRenoInc) {
-          // eval computes acked*mss/cwnd left-to-right; hoisting the lane-
-          // invariant product keeps the rounding sequence identical.
+          // signal_value computes acked*mss/cwnd left-to-right; hoisting the
+          // lane-invariant product keeps the rounding sequence identical.
           const double am = sig.acked_bytes * sig.mss;
           for (std::size_t l = 0; l < n_lanes; ++l) {
             s[l] = lane_cwnd[l] > 0 ? am / lane_cwnd[l] : 0.0;
@@ -295,6 +223,34 @@ void exec_batch(const Program& p, const cca::Signals& sig, std::span<const doubl
 
 }  // namespace
 
+double signal_value(Signal s, const cca::Signals& sig) {
+  switch (s) {
+    case Signal::kMss: return sig.mss;
+    case Signal::kAckedBytes: return sig.acked_bytes;
+    case Signal::kTimeSinceLoss: return sig.time_since_loss;
+    case Signal::kRtt: return sig.rtt;
+    case Signal::kMinRtt: return sig.min_rtt;
+    case Signal::kMaxRtt: return sig.max_rtt;
+    case Signal::kAckRate: return sig.ack_rate;
+    case Signal::kRttGradient: return sig.rtt_gradient;
+    case Signal::kCwnd: return sig.cwnd;
+    case Signal::kWMax: return sig.cwnd_at_loss;
+    case Signal::kRenoInc:
+      // Reno's increment of one MSS per window's worth of ACKs (Table 1).
+      return sig.cwnd > 0 ? sig.acked_bytes * sig.mss / sig.cwnd : 0.0;
+    case Signal::kVegasDiff:
+      // Vegas's estimate of packets queued at the bottleneck (Table 1).
+      return sig.mss > 0 ? (sig.rtt - sig.min_rtt) * sig.ack_rate / sig.mss : 0.0;
+    case Signal::kHtcpDiff:
+      // H-TCP's normalized RTT variation (Table 1).
+      return sig.max_rtt > 0 ? (sig.rtt - sig.min_rtt) / sig.max_rtt : 0.0;
+    case Signal::kRttsSinceLoss:
+      // Time since loss scaled by the RTT estimate (Table 1).
+      return sig.rtt > 0 ? sig.time_since_loss / sig.rtt : 0.0;
+  }
+  return 0.0;
+}
+
 Program compile(const Expr& e) {
   Compiler c;
   const auto ids = hole_ids(e);
@@ -304,15 +260,6 @@ Program compile(const Expr& e) {
   c.prog.hole_slots = ids.size();
   c.lower(e);
   return std::move(c.prog);
-}
-
-double run(const Program& p, const cca::Signals& sig, std::span<const double> holes) {
-  if (p.max_stack <= kBcStackCap) {
-    double stack[kBcStackCap];
-    return exec(p, sig, holes, stack);
-  }
-  std::vector<double> stack(p.max_stack);
-  return exec(p, sig, holes, stack.data());
 }
 
 void run_batch(const Program& p, const cca::Signals& sig, std::span<const double> lane_cwnd,

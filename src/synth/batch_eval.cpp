@@ -1,11 +1,8 @@
 #include "synth/batch_eval.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "obs/registry.hpp"
 #include "util/fault_injection.hpp"
-#include "util/log.hpp"
 
 namespace abg::synth {
 
@@ -31,37 +28,22 @@ void replay_batch(const dsl::Program& prog,
     (*out)[l].reserve(segment.samples.size());
   }
 
-  // Per-lane state and per-sample update, mirroring replay() line for line:
-  // same starting window, same skip rule for duplicate ACKs, same clamp, and
-  // the same hold-on-non-finite degradation (with the same counter).
+  // Per-lane state: the shared starting window, the duplicate-ACK skip, and
+  // next_cwnd's hold/count/clamp after every evaluation.
   double cwnd[dsl::kBatchLanes];
   double next[dsl::kBatchLanes];
-  double cwnd0 = segment.samples.front().sig.cwnd;
-  const double front_mss = segment.samples.front().sig.mss;
-  const double mss = front_mss > 0 ? front_mss : 1.0;
-  if (!std::isfinite(cwnd0)) cwnd0 = mss;
-  for (std::size_t l = 0; l < n_lanes; ++l) cwnd[l] = cwnd0;
+  const ReplayStart start = replay_start(segment.samples.front(), opts);
+  for (std::size_t l = 0; l < n_lanes; ++l) cwnd[l] = start.cwnd;
 
-  const double lo = opts.min_cwnd_pkts * mss;
-  const double hi = opts.max_cwnd_pkts * mss;
   for (const auto& sample : segment.samples) {
     if (!sample.is_dup && sample.sig.acked_bytes > 0) {
       dsl::run_batch(prog, sample.sig, {cwnd, n_lanes}, holes, n_lanes, next);
       for (std::size_t l = 0; l < n_lanes; ++l) {
         util::fault::corrupt(&next[l], "replay.handler_output");
-        if (std::isfinite(next[l])) {
-          cwnd[l] = std::clamp(next[l], lo, hi);
-        } else {
-          auto& c_nonfinite = nonfinite_cwnd_counter();
-          c_nonfinite.add();
-          ABG_WARN_EVERY_N(100000,
-                           "replay: candidate handler produced non-finite cwnd; holding "
-                           "previous window (%llu so far)",
-                           static_cast<unsigned long long>(c_nonfinite.value()));
-        }
+        cwnd[l] = next_cwnd(cwnd[l], next[l], start.lo, start.hi);
       }
     }
-    for (std::size_t l = 0; l < n_lanes; ++l) (*out)[l].push_back(cwnd[l] / mss);
+    for (std::size_t l = 0; l < n_lanes; ++l) (*out)[l].push_back(cwnd[l] / start.mss);
   }
 }
 

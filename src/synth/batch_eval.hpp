@@ -1,11 +1,10 @@
-// Batched candidate replay (ISSUE 7): run one compiled sketch over a trace
-// segment for up to dsl::kBatchLanes hole-assignments in lockstep. Each lane
-// carries only its own evolving CWND; the observed signals broadcast. Lane
-// L's synthesized series is bit-identical to
-// replay(*fill_holes(sketch, assigns[L]), segment, opts) — asserted by the
-// fuzz suite in tests/test_data_parallel.cpp — so the distance layer, the
-// eval cache, and selection cannot tell the batched path from the scalar
-// one.
+// Segment replay (§3.1) for up to dsl::kBatchLanes hole-assignments of one
+// compiled sketch in lockstep. Each lane carries only its own evolving CWND;
+// the observed signals broadcast. This is the program's one per-segment
+// replay loop: score_sketch runs it with full batches, and replay() /
+// total_distance run it with one lane, so the search and final validation
+// cannot disagree. The tests' tree-walking replay oracle pins every lane's
+// series bit for bit.
 #pragma once
 
 #include <vector>
@@ -18,8 +17,9 @@ namespace abg::synth {
 
 // Replay `prog` (compiled from a sketch) over `segment` once per assignment.
 // `assigns` holds one hole-binding vector per lane (at most dsl::kBatchLanes;
-// bindings follow fill_holes's clamp rules). out->at(L) receives lane L's
-// synthesized CWND series in packets.
+// bindings follow fill_holes's clamp rules: an empty vector binds every hole
+// to 1.0, a short one repeats its last element). out->at(L) receives lane
+// L's synthesized CWND series in packets, as replay() documents it.
 void replay_batch(const dsl::Program& prog,
                   const std::vector<const std::vector<double>*>& assigns,
                   const trace::Segment& segment, const ReplayOptions& opts,

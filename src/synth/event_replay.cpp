@@ -1,13 +1,32 @@
 #include "synth/event_replay.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <limits>
 
-#include "dsl/eval.hpp"
+#include "dsl/bytecode.hpp"
 #include "synth/concretize.hpp"
 #include "synth/enumerator.hpp"
+#include "util/fault_injection.hpp"
 
 namespace abg::synth {
+
+namespace {
+
+// A handler compiled for one-lane stepping; any residual hole reads 1.0.
+struct OneLane {
+  dsl::Program prog;
+  std::vector<double> holes;
+
+  explicit OneLane(const dsl::Expr& handler)
+      : prog(dsl::compile(handler)), holes(prog.hole_slots, 1.0) {}
+
+  double run(const cca::Signals& sig, double cwnd) const {
+    double next = 0.0;
+    dsl::run_batch(prog, sig, {&cwnd, 1}, holes, 1, &next);
+    return next;
+  }
+};
+
+}  // namespace
 
 std::vector<double> replay_trace(const dsl::Expr& ack_handler, const dsl::Expr& loss_handler,
                                  const trace::Trace& t, const ReplayOptions& opts) {
@@ -15,23 +34,22 @@ std::vector<double> replay_trace(const dsl::Expr& ack_handler, const dsl::Expr& 
   out.reserve(t.samples.size());
   if (t.samples.empty()) return out;
 
-  double cwnd = t.samples.front().sig.cwnd;
-  const double mss = t.samples.front().sig.mss > 0 ? t.samples.front().sig.mss : 1.0;
-  auto step = [&](const dsl::Expr& handler, const trace::AckSample& sample) {
-    cca::Signals sig = sample.sig;
-    sig.cwnd = cwnd;
-    const double next = dsl::eval(handler, sig);
-    if (std::isfinite(next)) {
-      cwnd = std::clamp(next, opts.min_cwnd_pkts * mss, opts.max_cwnd_pkts * mss);
-    }
+  const OneLane ack(ack_handler);
+  const OneLane loss(loss_handler);
+  const ReplayStart start = replay_start(t.samples.front(), opts);
+  double cwnd = start.cwnd;
+  auto step = [&](const OneLane& handler, const trace::AckSample& sample) {
+    double next = handler.run(sample.sig, cwnd);
+    util::fault::corrupt(&next, "replay.handler_output");
+    cwnd = next_cwnd(cwnd, next, start.lo, start.hi);
   };
   for (const auto& sample : t.samples) {
     if (sample.loss_event) {
-      step(loss_handler, sample);
+      step(loss, sample);
     } else if (!sample.is_dup && sample.sig.acked_bytes > 0) {
-      step(ack_handler, sample);
+      step(ack, sample);
     }
-    out.push_back(cwnd / mss);
+    out.push_back(cwnd / start.mss);
   }
   return out;
 }
@@ -39,14 +57,8 @@ std::vector<double> replay_trace(const dsl::Expr& ack_handler, const dsl::Expr& 
 double trace_distance(const dsl::Expr& ack_handler, const dsl::Expr& loss_handler,
                       const trace::Trace& t, distance::Metric metric,
                       const distance::DistanceOptions& dopts) {
-  const auto synth = replay_trace(ack_handler, loss_handler, t);
-  std::vector<double> observed;
-  observed.reserve(t.samples.size());
-  for (const auto& s : t.samples) {
-    const double mss = s.sig.mss > 0 ? s.sig.mss : 1.0;
-    observed.push_back(s.cwnd_after / mss);
-  }
-  return distance::compute(metric, synth, observed, dopts);
+  return distance::compute(metric, replay_trace(ack_handler, loss_handler, t),
+                           observed_series_pkts(t.samples), dopts);
 }
 
 LossSynthesisResult synthesize_loss_handler(const dsl::Dsl& dsl, const dsl::Expr& ack_handler,

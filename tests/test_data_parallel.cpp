@@ -1,12 +1,15 @@
-// ISSUE 7's bit-exactness contract, enforced: the SIMD DTW kernels and the
-// batched bytecode replay path must be indistinguishable from the scalar
-// references (scalar DTW, tree-walk replay, and reference_score_sketch's
-// candidate loop) in every result that feeds selection — not approximately, but
-// bit for bit. Every suite here runs in each CI SIMD matrix leg (ABG_SIMD =
-// avx2/sse2/scalar), so a kernel that diverges on some host breaks the build
-// on that host rather than silently reordering search winners.
+// The bit-exactness contract, enforced: the SIMD DTW kernels and the
+// bytecode handler interpreter (batched and one-lane segment replay, full-
+// trace replay, HandlerCca) must be indistinguishable from the scalar
+// references (scalar DTW, the tree-walk eval and replays of
+// reference_eval.hpp, and reference_score_sketch's candidate loop) in every
+// result that feeds selection — not approximately, but bit for bit. Every
+// suite here runs in each CI SIMD matrix leg (ABG_SIMD = avx2/sse2/scalar),
+// so a kernel that diverges on some host breaks the build on that host
+// rather than silently reordering search winners.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -14,13 +17,14 @@
 #include <vector>
 
 #include "cca/signals.hpp"
+#include "core/handler_cca.hpp"
 #include "distance/distance.hpp"
 #include "distance/simd.hpp"
 #include "dsl/bytecode.hpp"
-#include "dsl/eval.hpp"
 #include "dsl/expr.hpp"
 #include "obs/registry.hpp"
 #include "synth/batch_eval.hpp"
+#include "synth/event_replay.hpp"
 #include "synth/refinement.hpp"
 #include "synth/replay.hpp"
 #include "trace/trace.hpp"
@@ -226,23 +230,44 @@ cca::Signals random_signals(util::Rng& rng) {
   return ::testing::AssertionFailure() << "got " << got << " want " << want;
 }
 
+// Every lane of a random batch must equal the tree-walk eval of the
+// expression filled with that lane's bindings, under the broadcast signals
+// with that lane's window.
 TEST(Bytecode, MatchesTreeWalkOnRandomExprs) {
   util::Rng rng(101);
   for (int trial = 0; trial < 500; ++trial) {
     const auto e = random_num(rng, static_cast<int>(rng.uniform_int(1, 6)), /*holes=*/true);
-    std::vector<double> vals;
-    const int n_vals = static_cast<int>(rng.uniform_int(0, 4));
-    for (int i = 0; i < n_vals; ++i) vals.push_back(rng.uniform(-3.0, 3.0));
-    const auto filled = fill_holes(e, vals);
     const Program p = compile(*e);
+    const std::size_t n_lanes = static_cast<std::size_t>(rng.uniform_int(1, kBatchLanes));
+    std::vector<double> lane_cwnd(n_lanes);
+    std::vector<double> holes_sm(p.hole_slots * n_lanes);  // slot-major
+    std::vector<ExprPtr> filled(n_lanes);
+    for (std::size_t l = 0; l < n_lanes; ++l) {
+      lane_cwnd[l] = rng.uniform(0.0, 1448.0 * 300);
+      std::vector<double> vals;
+      for (std::size_t s = 0; s < p.hole_slots; ++s) {
+        vals.push_back(rng.uniform(-3.0, 3.0));
+        holes_sm[s * n_lanes + l] = vals.back();
+      }
+      filled[l] = fill_holes(e, vals);
+    }
     for (int s = 0; s < 4; ++s) {
-      const auto sigs = random_signals(rng);
-      EXPECT_TRUE(same_double(run(p, sigs, vals), eval(*filled, sigs)))
-          << "expr: " << to_string(*e) << " trial " << trial;
+      const auto base = random_signals(rng);
+      double out[kBatchLanes];
+      run_batch(p, base, lane_cwnd, holes_sm, n_lanes, out);
+      for (std::size_t l = 0; l < n_lanes; ++l) {
+        cca::Signals sigs = base;
+        sigs.cwnd = lane_cwnd[l];
+        EXPECT_TRUE(same_double(out[l], eval(*filled[l], sigs)))
+            << "expr: " << to_string(*e) << " trial " << trial << " lane " << l;
+      }
     }
   }
 }
 
+// Lanes are independent: a lane's value in a batch is the value run_batch
+// gives for that lane's window and bindings run alone (the one-lane call
+// that final validation, full-trace replay and HandlerCca make).
 TEST(Bytecode, BatchLanesMatchSingleLaneRuns) {
   util::Rng rng(103);
   for (int trial = 0; trial < 100; ++trial) {
@@ -264,25 +289,27 @@ TEST(Bytecode, BatchLanesMatchSingleLaneRuns) {
     double out[kBatchLanes];
     run_batch(p, base, lane_cwnd, holes_sm, n_lanes, out);
     for (std::size_t l = 0; l < n_lanes; ++l) {
-      cca::Signals sigs = base;
-      sigs.cwnd = lane_cwnd[l];
-      EXPECT_TRUE(same_double(out[l], run(p, sigs, per_lane[l])))
-          << "expr: " << to_string(*e) << " lane " << l;
+      // With one lane, slot-major bindings are just the lane's, per slot.
+      double alone = 0.0;
+      run_batch(p, base, {&lane_cwnd[l], 1}, per_lane[l], 1, &alone);
+      EXPECT_TRUE(same_double(out[l], alone)) << "expr: " << to_string(*e) << " lane " << l;
     }
   }
 }
 
 TEST(Bytecode, StaticallyFalseGuardKeepsHoleSlots) {
-  // A hole inside a guard that eval_bool rejects statically (a non-boolean
-  // condition) is never executed, but it still owns its hole slot — the
-  // bindings of the holes that DO execute must not shift.
+  // A hole inside a guard that is not a comparison (so statically false) is
+  // never executed, but it still owns its hole slot — the bindings of the
+  // holes that DO execute must not shift.
   const auto e = cond(add(hole(0), hole(1)), hole(2), hole(3));
-  const std::vector<double> vals{2.0, 3.0, 4.0, 5.0};
+  const std::vector<double> vals{2.0, 3.0, 4.0, 5.0};  // one lane: slot-major = per slot
   const Program p = compile(*e);
   EXPECT_EQ(p.hole_slots, 4u);
   const cca::Signals sigs;
-  EXPECT_EQ(run(p, sigs, vals), 5.0);  // guard is false -> else branch -> hole 3
-  EXPECT_EQ(run(p, sigs, vals), eval(*fill_holes(e, vals), sigs));
+  double out = 0.0;
+  run_batch(p, sigs, {&sigs.cwnd, 1}, vals, 1, &out);
+  EXPECT_EQ(out, 5.0);  // guard is false -> else branch -> hole 3
+  EXPECT_EQ(out, eval(*fill_holes(e, vals), sigs));
 }
 
 }  // namespace
@@ -325,13 +352,20 @@ TEST(BatchReplay, MatchesScalarReplayBitwise) {
     replay_batch(prog, lanes, seg, {}, &got);
     ASSERT_EQ(got.size(), n_lanes);
     for (std::size_t l = 0; l < n_lanes; ++l) {
-      const auto want = replay(*dsl::fill_holes(sketch, assigns[l]), seg);
+      const auto filled = dsl::fill_holes(sketch, assigns[l]);
+      const auto want = reference_replay(*filled, seg);
+      // replay() is one lane of replay_batch; it must agree with the oracle
+      // too, since final validation scores winners through it.
+      const auto one_lane = replay(*filled, seg);
       ASSERT_EQ(got[l].size(), want.size()) << "lane " << l;
+      ASSERT_EQ(one_lane.size(), want.size()) << "lane " << l;
       for (std::size_t i = 0; i < want.size(); ++i) {
         // Bitwise: the synthesized series feeds DTW, whose result feeds
         // selection; any ULP of drift here could reorder winners.
         EXPECT_TRUE(dsl::same_double(got[l][i], want[i]))
             << "lane " << l << " sample " << i << " sketch " << dsl::to_string(*sketch);
+        EXPECT_TRUE(dsl::same_double(one_lane[i], want[i]))
+            << "replay() lane " << l << " sample " << i << " sketch " << dsl::to_string(*filled);
       }
     }
   }
@@ -424,6 +458,60 @@ TEST(EvalOracle, ScoreSketchMatchesReference) {
     }
   }
   EXPECT_GT(beaten_finite, 0);
+}
+
+// Full-trace replay against the tree-walk oracle: random hole-free ack and
+// loss handlers over random traces with loss events (and, sometimes, a NaN
+// starting window).
+TEST(EvalOracle, ReplayTraceMatchesReference) {
+  util::Rng rng(223);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto ack = dsl::random_num(rng, 5, /*holes=*/false);
+    const auto loss = dsl::random_num(rng, 4, /*holes=*/false);
+    trace::Trace t;
+    t.samples = make_segment(rng, static_cast<std::size_t>(rng.uniform_int(1, 80))).samples;
+    for (auto& s : t.samples) s.loss_event = rng.chance(0.1);
+    if (rng.chance(0.2)) t.samples.front().sig.cwnd = std::nan("");
+    const auto got = replay_trace(*ack, *loss, t);
+    const auto want = reference_replay_trace(*ack, *loss, t);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(dsl::same_double(got[i], want[i]))
+          << "sample " << i << " ack " << dsl::to_string(*ack) << " loss "
+          << dsl::to_string(*loss);
+    }
+  }
+}
+
+// core::HandlerCca against the tree-walk oracle over a random ACK/loss
+// sequence, with a synthesized loss handler and with the default halving.
+TEST(EvalOracle, HandlerCcaMatchesReference) {
+  util::Rng rng(227);
+  constexpr double kMss = 1448.0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto ack = dsl::random_num(rng, 5, /*holes=*/false);
+    const auto loss = trial % 2 == 0 ? dsl::random_num(rng, 4, /*holes=*/false) : nullptr;
+    core::HandlerCca cca_obj(ack, loss);
+    const double init = rng.uniform(2 * kMss, 100 * kMss);
+    cca_obj.init(kMss, init);
+    double want = init;
+    auto hold_or_clamp = [&](double next) {
+      return std::isfinite(next) ? std::clamp(next, 2.0 * kMss, 1e7 * kMss) : want;
+    };
+    for (int i = 0; i < 80; ++i) {
+      cca::Signals sig = dsl::random_signals(rng);
+      const bool is_loss = rng.chance(0.1);
+      const double got = is_loss ? cca_obj.on_loss(sig) : cca_obj.on_ack(sig);
+      sig.cwnd = want;
+      if (!is_loss) {
+        want = hold_or_clamp(dsl::eval(*ack, sig));
+      } else {
+        want = hold_or_clamp(loss ? dsl::eval(*loss, sig) : want / 2.0);
+      }
+      EXPECT_TRUE(dsl::same_double(got, want))
+          << "step " << i << " ack " << dsl::to_string(*ack);
+    }
+  }
 }
 
 }  // namespace

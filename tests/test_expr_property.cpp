@@ -6,10 +6,10 @@
 
 #include <cmath>
 
-#include "dsl/eval.hpp"
 #include "dsl/parse.hpp"
 #include "dsl/simplify.hpp"
 #include "dsl/units.hpp"
+#include "reference_eval.hpp"
 #include "util/rng.hpp"
 
 namespace abg::dsl {
@@ -85,7 +85,7 @@ TEST_P(ExprProperty, EvaluatorIsTotalOnRandomInputs) {
   for (int i = 0; i < 60; ++i) {
     const auto e = random_num(rng, 4);
     const auto s = random_signals(rng);
-    const double v = eval(*e, s);
+    const double v = run_one(*e, s);
     // Either finite or an overflow inf; never a crash. NaN can only arise
     // from inf - inf style overflow chains.
     (void)v;
@@ -110,8 +110,8 @@ TEST_P(ExprProperty, CanonicalizePreservesSemantics) {
     const auto c = canonicalize(e);
     for (int j = 0; j < 5; ++j) {
       const auto s = random_signals(rng);
-      const double v1 = eval(*e, s);
-      const double v2 = eval(*c, s);
+      const double v1 = run_one(*e, s);
+      const double v2 = run_one(*c, s);
       if (std::isfinite(v1) && std::isfinite(v2)) {
         EXPECT_NEAR(v1, v2, std::max(1e-9, std::fabs(v1) * 1e-12)) << to_string(*e);
       }

@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "net/simulator.hpp"
-#include "dsl/eval.hpp"
+#include "reference_eval.hpp"
 #include "synth/event_replay.hpp"
 #include "synth/mister880.hpp"
 #include "trace/noise.hpp"
@@ -158,9 +158,25 @@ TEST(EventReplay, SynthesizesTheHalvingLossHandler) {
   ASSERT_TRUE(result.found());
   // The recovered handler must behave like *0.5 at a loss point.
   cca::Signals sig = t.samples[99].sig;
-  const double out = dsl::eval(*result.handler, sig);
+  const double out = dsl::run_one(*result.handler, sig);
   EXPECT_NEAR(out, 0.5 * sig.cwnd, 0.1 * sig.cwnd)
       << dsl::to_string(*result.handler);
+}
+
+TEST(EventReplay, NonFiniteStartWindowFallsBackToOneMss) {
+  // A corrupted first window must not poison the rollout: like segment
+  // replay, full-trace replay starts from one MSS instead, so the series
+  // and the distance stay finite and the loss-handler search can compare
+  // candidates.
+  auto t = reno_like_trace();
+  t.samples.front().sig.cwnd = std::nan("");
+  auto ack = dsl::add(dsl::sig(dsl::Signal::kCwnd), dsl::sig(dsl::Signal::kMss));
+  auto loss = dsl::mul(dsl::constant(0.5), dsl::sig(dsl::Signal::kCwnd));
+  const auto series = replay_trace(*ack, *loss, t);
+  ASSERT_EQ(series.size(), t.samples.size());
+  EXPECT_DOUBLE_EQ(series.front(), 2.0);  // one MSS, then one ACK's increment
+  for (double v : series) EXPECT_TRUE(std::isfinite(v));
+  EXPECT_TRUE(std::isfinite(trace_distance(*ack, *loss, t, distance::Metric::kDtw)));
 }
 
 TEST(EventReplay, EmptyTraceYieldsEmptySeries) {

@@ -14,11 +14,17 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <utility>
+#include <vector>
 
+#include "dsl/bytecode.hpp"
 #include "dsl/known_handlers.hpp"
 #include "net/simulator.hpp"
 #include "obs/registry.hpp"
+#include "synth/batch_eval.hpp"
 #include "synth/checkpoint.hpp"
+#include "synth/event_replay.hpp"
 #include "synth/refinement.hpp"
 #include "synth/replay.hpp"
 #include "trace/trace_io.hpp"
@@ -115,15 +121,39 @@ TEST(FaultInjection, NanCorruptionNeverEscapesReplay) {
   FaultGuard guard(cfg);
   auto segs = reno_segments();
   ASSERT_FALSE(segs.empty());
-  const auto held_before = obs::counter("synth.nonfinite_cwnd").value();
   const auto& handler = *dsl::known_handlers("reno").fine_tuned;
-  for (const auto& seg : segs) {
-    for (double v : replay(handler, seg)) EXPECT_TRUE(std::isfinite(v));
+  const dsl::Program prog = dsl::compile(handler);
+  const std::vector<double> no_holes;
+  const auto halve = dsl::mul(dsl::constant(0.5), dsl::sig(dsl::Signal::kCwnd));
+  // Every replay entry point runs handler outputs through the same fault
+  // hook and hold-previous-cwnd guard.
+  const std::pair<const char*, std::function<std::vector<double>(const trace::Segment&)>>
+      paths[] = {
+          {"replay", [&](const trace::Segment& seg) { return replay(handler, seg); }},
+          {"replay_batch",
+           [&](const trace::Segment& seg) {
+             std::vector<std::vector<double>> out;
+             replay_batch(prog, {&no_holes}, seg, {}, &out);
+             return out.front();
+           }},
+          {"replay_trace",
+           [&](const trace::Segment& seg) {
+             trace::Trace t;
+             t.samples = seg.samples;
+             return replay_trace(handler, *halve, t);
+           }},
+      };
+  for (const auto& [name, run] : paths) {
+    const auto injected_before = obs::counter("fault.nan_injected").value();
+    const auto held_before = obs::counter("synth.nonfinite_cwnd").value();
+    for (const auto& seg : segs) {
+      for (double v : run(seg)) EXPECT_TRUE(std::isfinite(v)) << name;
+    }
+    // With 20% corruption over whole segments, some injections must have
+    // fired and each one must have been absorbed by the hold guard.
+    EXPECT_GT(obs::counter("fault.nan_injected").value(), injected_before) << name;
+    EXPECT_GT(obs::counter("synth.nonfinite_cwnd").value(), held_before) << name;
   }
-  // With 20% corruption over whole segments, some injections must have fired
-  // and each one must have been absorbed by the hold-previous-cwnd guard.
-  EXPECT_GT(obs::counter("fault.nan_injected").value(), 0u);
-  EXPECT_GT(obs::counter("synth.nonfinite_cwnd").value(), held_before);
 }
 
 TEST(FaultInjection, ForcedCancelYieldsPartialResult) {
