@@ -1,6 +1,6 @@
 // Configuration and result types of the Abagnale pipeline (Figure 1):
 // packet traces -> CCA classifier -> sub-DSL selection -> trace segmentation
-// + diversity sampling -> bucketized, SMT-enumerated, distance-guided
+// + diversity sampling -> bucketized, enumerated, distance-guided
 // refinement loop -> the simplest handler expression whose synthesized trace
 // best matches the observations. api::Engine runs the pipeline (front half:
 // api::prepare; search: synth::synthesize).

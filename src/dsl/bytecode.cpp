@@ -102,15 +102,18 @@ inline double mod_eq_pred(double a, double b) {
   return (r <= kModTolerance * fb || r >= fb * (1.0 - kModTolerance)) ? 1.0 : 0.0;
 }
 
-// Slot i of the operand stack occupies stacks[i * kBatchLanes .. +n_lanes).
+// Slot i of the operand stack occupies stacks[i * kMaxLanes .. +n_lanes).
 // Every opcode applies elementwise, so lane L's value stream is the one a
 // lone run of lane L would produce (same ops, same order, no cross-lane
-// arithmetic).
+// arithmetic). Instantiated for kBatchLanes and for one lane: the one-lane
+// copy's loops have a compile-time trip count and compile to scalar code.
+template <std::size_t kMaxLanes>
 void exec_batch(const Program& p, const cca::Signals& sig, std::span<const double> lane_cwnd,
-                std::span<const double> holes, std::size_t n_lanes, double* stacks,
+                std::span<const double> holes, std::size_t lanes, double* stacks,
                 double* out) {
+  const std::size_t n_lanes = kMaxLanes == 1 ? 1 : lanes;
   std::size_t top = 0;  // stack depth in slots
-  auto slot = [&](std::size_t i) { return stacks + i * kBatchLanes; };
+  auto slot = [&](std::size_t i) { return stacks + i * kMaxLanes; };
   for (const BcInst inst : p.code) {
     switch (inst.op) {
       case BcOp::kPushSignal: {
@@ -221,6 +224,18 @@ void exec_batch(const Program& p, const cca::Signals& sig, std::span<const doubl
   for (std::size_t l = 0; l < n_lanes; ++l) out[l] = r == nullptr ? 0.0 : r[l];
 }
 
+template <std::size_t kMaxLanes>
+void run_lanes(const Program& p, const cca::Signals& sig, std::span<const double> lane_cwnd,
+               std::span<const double> holes, std::size_t n_lanes, double* out) {
+  if (p.max_stack <= kBcStackCap) {
+    double stacks[kBcStackCap * kMaxLanes];
+    exec_batch<kMaxLanes>(p, sig, lane_cwnd, holes, n_lanes, stacks, out);
+    return;
+  }
+  std::vector<double> stacks(p.max_stack * kMaxLanes);
+  exec_batch<kMaxLanes>(p, sig, lane_cwnd, holes, n_lanes, stacks.data(), out);
+}
+
 }  // namespace
 
 double signal_value(Signal s, const cca::Signals& sig) {
@@ -264,13 +279,8 @@ Program compile(const Expr& e) {
 
 void run_batch(const Program& p, const cca::Signals& sig, std::span<const double> lane_cwnd,
                std::span<const double> holes, std::size_t n_lanes, double* out) {
-  if (p.max_stack <= kBcStackCap) {
-    double stacks[kBcStackCap * kBatchLanes];
-    exec_batch(p, sig, lane_cwnd, holes, n_lanes, stacks, out);
-    return;
-  }
-  std::vector<double> stacks(p.max_stack * kBatchLanes);
-  exec_batch(p, sig, lane_cwnd, holes, n_lanes, stacks.data(), out);
+  if (n_lanes == 1) return run_lanes<1>(p, sig, lane_cwnd, holes, 1, out);
+  run_lanes<kBatchLanes>(p, sig, lane_cwnd, holes, n_lanes, out);
 }
 
 }  // namespace abg::dsl

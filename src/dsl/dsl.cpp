@@ -73,9 +73,9 @@ Dsl rate_delay_dsl() {
 Dsl vegas_dsl() {
   Dsl d = rate_delay_dsl();
   d.name = "vegas";
-  // Lead with the family's signature signals: enumeration order follows
-  // production ids, so sampled sketches are biased toward the signals this
-  // family actually uses (the same prior the curated DSL encodes).
+  // The family's signature signals lead the list for the reader; the list's
+  // order does not steer the search, which orders the sketches of one size
+  // by a hash of their canonical form (synth/enumerator.hpp).
   d.signals = {Signal::kVegasDiff, Signal::kRenoInc, Signal::kCwnd,   Signal::kMss,
                Signal::kAckedBytes, Signal::kTimeSinceLoss, Signal::kRtt,
                Signal::kMinRtt,     Signal::kMaxRtt,         Signal::kAckRate,

@@ -151,20 +151,24 @@ bool equal(const Expr& a, const Expr& b) {
   return false;
 }
 
+std::size_t hash_combine(std::size_t h, std::size_t v) {
+  return h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
+}
+
+std::size_t hash_head(Expr::Kind kind, std::size_t payload) {
+  const std::size_t offset = kind == Expr::Kind::kHole ? 77 : kind == Expr::Kind::kOp ? 101 : 0;
+  return hash_combine(static_cast<std::size_t>(kind) * 1315423911u, payload + offset);
+}
+
 std::size_t hash_expr(const Expr& e) {
-  auto combine = [](std::size_t h, std::size_t v) {
-    return h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
-  };
-  std::size_t h = static_cast<std::size_t>(e.kind) * 1315423911u;
   switch (e.kind) {
-    case Expr::Kind::kSignal: h = combine(h, static_cast<std::size_t>(e.signal)); break;
-    case Expr::Kind::kConst: h = combine(h, std::hash<double>{}(e.value)); break;
-    case Expr::Kind::kHole: h = combine(h, static_cast<std::size_t>(e.hole_id) + 77); break;
-    case Expr::Kind::kOp:
-      h = combine(h, static_cast<std::size_t>(e.op) + 101);
-      for (const auto& c : e.children) h = combine(h, hash_expr(*c));
-      break;
+    case Expr::Kind::kSignal: return hash_head(e.kind, static_cast<std::size_t>(e.signal));
+    case Expr::Kind::kConst: return hash_head(e.kind, std::hash<double>{}(e.value));
+    case Expr::Kind::kHole: return hash_head(e.kind, static_cast<std::size_t>(e.hole_id));
+    case Expr::Kind::kOp: break;
   }
+  std::size_t h = hash_head(e.kind, static_cast<std::size_t>(e.op));
+  for (const auto& c : e.children) h = hash_combine(h, hash_expr(*c));
   return h;
 }
 

@@ -108,8 +108,13 @@ int hole_count(const Expr& e);
 std::vector<int> hole_ids(const Expr& e);
 // Structural equality.
 bool equal(const Expr& a, const Expr& b);
-// Structural hash (for dedup sets).
+// Structural hash (for dedup sets): hash_head(kind, payload) starts a node
+// (payload: the signal, hole id or operator; std::hash of a constant), and
+// hash_combine folds in each child's hash in order. Trees that are not Exprs
+// hash with the same two steps (synth::SketchEnumerator).
 std::size_t hash_expr(const Expr& e);
+std::size_t hash_head(Expr::Kind kind, std::size_t payload);
+std::size_t hash_combine(std::size_t h, std::size_t v);
 // Replace every hole with the value assigned to its id; ids beyond the span
 // map to the last value. `values` indexed by position in hole_ids(e).
 ExprPtr fill_holes(const ExprPtr& e, const std::vector<double>& values);

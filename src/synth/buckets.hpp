@@ -1,6 +1,6 @@
 // Search-space bucketization (§4.4). The bucket discriminator is the exact
 // subset of DSL operators a sketch uses — the metric the paper selected
-// (option 2) because it is cheap to enforce in the solver query and sketches
+// (option 2) because it is cheap to enforce while generating and sketches
 // sharing an operator set behave similarly. Buckets partition the sketch
 // space: every sketch uses exactly one operator subset.
 #pragma once

@@ -5,8 +5,6 @@
 
 namespace abg::util {
 
-namespace {
-
 std::uint64_t splitmix64(std::uint64_t& x) {
   x += 0x9e3779b97f4a7c15ull;
   std::uint64_t z = x;
@@ -14,6 +12,8 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   return z ^ (z >> 31);
 }
+
+namespace {
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 

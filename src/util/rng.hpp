@@ -10,6 +10,9 @@
 
 namespace abg::util {
 
+// One SplitMix64 step: advances `x` and returns the next output.
+std::uint64_t splitmix64(std::uint64_t& x);
+
 // xoshiro256** seeded via SplitMix64; small, fast, and good enough for
 // simulation-grade randomness.
 class Rng {

@@ -411,39 +411,5 @@ TEST(ObsPipeline, SynthesizeEmitsIterationSpansWhenTracingEnabled) {
   obs::clear_trace_events();
 }
 
-// The executor's enumerator teardown is one named span, so the tail of a job
-// is attributed in the trace rather than left as a gap.
-TEST(ObsPipeline, SynthesizeRecordsOneTeardownSpan) {
-  auto segs = reno_segments();
-  ASSERT_GE(segs.size(), 2u);
-  obs::clear_trace_events();
-  obs::set_tracing_enabled(true);
-
-  synth::SynthesisOptions opts;
-  opts.initial_samples = 4;
-  opts.initial_keep = 2;
-  opts.initial_segments = 2;
-  opts.concretize_budget = 8;
-  opts.max_iterations = 2;
-  opts.exhaustive_cap = 20;
-  opts.max_depth = 3;
-  opts.max_nodes = 4;
-  opts.max_holes = 1;
-  opts.threads = 2;
-  const auto result = synth::synthesize(dsl::reno_dsl(), segs, opts);
-  obs::set_tracing_enabled(false);
-  EXPECT_TRUE(result.best.valid());
-
-  const std::string json = obs::trace_events_json();
-  EXPECT_TRUE(JsonChecker(json).valid());
-  std::size_t teardown_spans = 0;
-  for (std::size_t pos = 0; (pos = json.find("\"synth.teardown\"", pos)) != std::string::npos;
-       ++pos) {
-    ++teardown_spans;
-  }
-  EXPECT_EQ(teardown_spans, 1u);
-  obs::clear_trace_events();
-}
-
 }  // namespace
 }  // namespace abg

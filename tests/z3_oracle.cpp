@@ -1,0 +1,382 @@
+#include "z3_oracle.hpp"
+
+#include <z3++.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <unordered_set>
+
+#include "dsl/simplify.hpp"
+#include "dsl/units.hpp"
+
+namespace abg::synth {
+
+namespace {
+
+// Production ids for the per-node selector variable:
+//   0                -> inactive
+//   1 .. S           -> signal leaf (dsl.signals[v-1])
+//   S+1              -> hole (constant)
+//   S+2 .. S+1+O     -> operator (dsl.ops[v-S-2])
+struct ProdIds {
+  int signal_base = 1;
+  int hole_id = 0;        // 0 if constants disallowed
+  int op_base = 0;
+  int max_id = 0;
+
+  explicit ProdIds(const dsl::Dsl& d) {
+    const int s = static_cast<int>(d.signals.size());
+    hole_id = d.allow_constants ? s + 1 : 0;
+    op_base = s + (d.allow_constants ? 2 : 1);
+    max_id = op_base + static_cast<int>(d.ops.size()) - 1;
+  }
+};
+
+// The Z3 encoding of one (sub-)space: a context, one production selector
+// (plus unit exponents when unit-checking) per heap node, and the permanent
+// constraints. Built only for a space that can hold a sketch.
+struct Encoding {
+  const dsl::Dsl& dsl;
+  const EnumeratorOptions& opts;
+  ProdIds ids;
+  int max_nodes;
+  std::size_t node_total;  // heap size: (3^depth - 1) / 2
+
+  z3::context ctx;
+  z3::solver solver;
+  std::vector<z3::expr> prod;  // per-node production selector
+  std::vector<z3::expr> ub, us;  // per-node unit exponents (if unit_check)
+
+  Encoding(const dsl::Dsl& d, const EnumeratorOptions& o, int max_depth, int max_nodes_)
+      : dsl(d), opts(o), ids(d), max_nodes(max_nodes_), solver(ctx) {
+    node_total = 1;
+    std::size_t layer = 1;
+    for (int i = 1; i < max_depth; ++i) {
+      layer *= 3;
+      node_total += layer;
+    }
+    build_vars();
+    build_constraints();
+  }
+
+  bool is_bool_prod(int v) const {
+    if (v < ids.op_base) return false;
+    return dsl::op_returns_bool(dsl.ops[static_cast<std::size_t>(v - ids.op_base)]);
+  }
+
+  int prod_of_op(dsl::Op o) const {
+    for (std::size_t i = 0; i < dsl.ops.size(); ++i) {
+      if (dsl.ops[i] == o) return ids.op_base + static_cast<int>(i);
+    }
+    return -1;
+  }
+
+  // Heap children; index >= node_total means "beyond the tree" (must be
+  // conceptually inactive, which bounds the parent to leaf productions).
+  static std::size_t child(std::size_t i, int k) { return 3 * i + 1 + static_cast<std::size_t>(k); }
+
+  void build_vars() {
+    char name[32];
+    auto var = [&](const char* prefix, std::size_t i) {
+      std::snprintf(name, sizeof(name), "%s%zu", prefix, i);
+      return ctx.int_const(name);
+    };
+    for (std::size_t i = 0; i < node_total; ++i) {
+      prod.push_back(var("p", i));
+      if (opts.unit_check) {
+        ub.push_back(var("ub", i));
+        us.push_back(var("us", i));
+      }
+    }
+  }
+
+  z3::expr active(std::size_t i) { return prod[i] != 0; }
+  z3::expr inactive_beyond(std::size_t i) {
+    // Virtual nodes beyond the heap are always inactive.
+    return i < node_total ? !active(i) : ctx.bool_val(true);
+  }
+  z3::expr is_prod(std::size_t i, int v) { return prod[i] == v; }
+
+  z3::expr is_num_node(std::size_t i) {
+    // Active and not a bool-returning op.
+    z3::expr e = active(i);
+    for (std::size_t j = 0; j < dsl.ops.size(); ++j) {
+      if (dsl::op_returns_bool(dsl.ops[j])) {
+        e = e && prod[i] != ids.op_base + static_cast<int>(j);
+      }
+    }
+    return e;
+  }
+
+  z3::expr is_bool_node(std::size_t i) {
+    z3::expr e = ctx.bool_val(false);
+    for (std::size_t j = 0; j < dsl.ops.size(); ++j) {
+      if (dsl::op_returns_bool(dsl.ops[j])) {
+        e = e || prod[i] == ids.op_base + static_cast<int>(j);
+      }
+    }
+    return e;
+  }
+
+  z3::expr child_req(std::size_t i, int k, bool want_bool) {
+    const std::size_t c = child(i, k);
+    if (c >= node_total) return ctx.bool_val(false);  // child needed but no room
+    return want_bool ? is_bool_node(c) : is_num_node(c);
+  }
+
+  z3::expr child_off(std::size_t i, int k) {
+    const std::size_t c = child(i, k);
+    return c < node_total ? !active(c) : ctx.bool_val(true);
+  }
+
+  void build_constraints() {
+    // Domain of the selector.
+    for (std::size_t i = 0; i < node_total; ++i) {
+      solver.add(prod[i] >= 0 && prod[i] <= ids.max_id);
+      if (!dsl.allow_constants) {
+        // No hole production exists; ids already exclude it.
+      }
+    }
+    // Root: active, numeric.
+    solver.add(is_num_node(0));
+
+    for (std::size_t i = 0; i < node_total; ++i) {
+      // Leaves and holes have no children.
+      z3::expr is_leaf = prod[i] >= 1 && prod[i] < ids.op_base;
+      solver.add(z3::implies(is_leaf || prod[i] == 0,
+                             child_off(i, 0) && child_off(i, 1) && child_off(i, 2)));
+      // Operators constrain their children.
+      for (std::size_t j = 0; j < dsl.ops.size(); ++j) {
+        const dsl::Op o = dsl.ops[j];
+        const z3::expr sel = prod[i] == ids.op_base + static_cast<int>(j);
+        z3::expr kids = ctx.bool_val(true);
+        switch (dsl::op_arity(o)) {
+          case 1:
+            kids = child_req(i, 0, false) && child_off(i, 1) && child_off(i, 2);
+            break;
+          case 2:
+            kids = child_req(i, 0, false) && child_req(i, 1, false) && child_off(i, 2);
+            break;
+          case 3:  // cond: guard is bool, branches numeric
+            kids = child_req(i, 0, true) && child_req(i, 1, false) && child_req(i, 2, false);
+            break;
+        }
+        solver.add(z3::implies(sel, kids));
+      }
+    }
+
+    // Node budget (the exact size is additionally steered per check() via an
+    // assumption, see next()).
+    {
+      z3::expr_vector actives(ctx);
+      for (std::size_t i = 0; i < node_total; ++i) {
+        actives.push_back(z3::ite(active(i), ctx.int_val(1), ctx.int_val(0)));
+      }
+      solver.add(z3::sum(actives) <= max_nodes);
+    }
+
+    // Hole budget.
+    if (dsl.allow_constants) {
+      z3::expr_vector holes(ctx);
+      for (std::size_t i = 0; i < node_total; ++i) {
+        holes.push_back(z3::ite(prod[i] == ids.hole_id, ctx.int_val(1), ctx.int_val(0)));
+      }
+      solver.add(z3::sum(holes) <= opts.max_holes);
+    }
+
+    if (opts.unit_check) add_unit_constraints();
+    add_anti_simplification();
+    if (opts.bucket) add_bucket_constraint(*opts.bucket);
+  }
+
+  void add_unit_constraints() {
+    solver.add(ub[0] == 1 && us[0] == 0);  // output in bytes
+    for (std::size_t i = 0; i < node_total; ++i) {
+      // Signals have fixed units.
+      for (std::size_t s = 0; s < dsl.signals.size(); ++s) {
+        const auto u = dsl::signal_unit(dsl.signals[s]);
+        solver.add(z3::implies(prod[i] == ids.signal_base + static_cast<int>(s),
+                               ub[i] == u.bytes && us[i] == u.secs));
+      }
+      // Holes are unit-polymorphic within bounds.
+      if (dsl.allow_constants) {
+        solver.add(z3::implies(prod[i] == ids.hole_id,
+                               ub[i] >= -dsl::kHoleUnitRange && ub[i] <= dsl::kHoleUnitRange &&
+                                   us[i] >= -dsl::kHoleUnitRange && us[i] <= dsl::kHoleUnitRange));
+      }
+      // Inactive nodes pinned to zero (prunes the model space).
+      solver.add(z3::implies(!active(i), ub[i] == 0 && us[i] == 0));
+
+      // Operator unit algebra.
+      for (std::size_t j = 0; j < dsl.ops.size(); ++j) {
+        const dsl::Op o = dsl.ops[j];
+        const z3::expr sel = prod[i] == ids.op_base + static_cast<int>(j);
+        const std::size_t c0 = child(i, 0), c1 = child(i, 1), c2 = child(i, 2);
+        auto in_tree = [this](std::size_t c) { return c < node_total; };
+        z3::expr rule = ctx.bool_val(true);
+        switch (o) {
+          case dsl::Op::kAdd:
+          case dsl::Op::kSub:
+            if (in_tree(c1)) {
+              rule = ub[i] == ub[c0] && us[i] == us[c0] && ub[c0] == ub[c1] && us[c0] == us[c1];
+            }
+            break;
+          case dsl::Op::kMul:
+            if (in_tree(c1)) rule = ub[i] == ub[c0] + ub[c1] && us[i] == us[c0] + us[c1];
+            break;
+          case dsl::Op::kDiv:
+            if (in_tree(c1)) rule = ub[i] == ub[c0] - ub[c1] && us[i] == us[c0] - us[c1];
+            break;
+          case dsl::Op::kCond:
+            if (in_tree(c2)) {
+              rule = ub[i] == ub[c1] && us[i] == us[c1] && ub[c1] == ub[c2] && us[c1] == us[c2];
+            }
+            break;
+          case dsl::Op::kCube:
+            if (in_tree(c0)) rule = ub[i] == 3 * ub[c0] && us[i] == 3 * us[c0];
+            break;
+          case dsl::Op::kCbrt:
+            // Integer-valued units only (§5.5): the child's exponents must
+            // be divisible by three.
+            if (in_tree(c0)) rule = ub[c0] == 3 * ub[i] && us[c0] == 3 * us[i];
+            break;
+          case dsl::Op::kLt:
+          case dsl::Op::kGt:
+          case dsl::Op::kModEq:
+            if (in_tree(c1)) {
+              rule = ub[i] == 0 && us[i] == 0 && ub[c0] == ub[c1] && us[c0] == us[c1];
+            }
+            break;
+        }
+        solver.add(z3::implies(sel, rule));
+      }
+    }
+  }
+
+  void add_anti_simplification() {
+    const int hole = ids.hole_id;
+    for (std::size_t i = 0; i < node_total; ++i) {
+      const std::size_t c0 = child(i, 0), c1 = child(i, 1), c2 = child(i, 2);
+      if (c0 >= node_total) continue;
+      auto sel = [&](dsl::Op o) {
+        const int p = prod_of_op(o);
+        return p >= 0 ? prod[i] == p : ctx.bool_val(false);
+      };
+      // Binary arithmetic/comparison over two holes folds to a constant /
+      // constant truth value.
+      if (dsl.allow_constants && c1 < node_total) {
+        for (dsl::Op o : {dsl::Op::kAdd, dsl::Op::kSub, dsl::Op::kMul, dsl::Op::kDiv,
+                          dsl::Op::kLt, dsl::Op::kGt, dsl::Op::kModEq}) {
+          solver.add(z3::implies(sel(o), !(prod[c0] == hole && prod[c1] == hole)));
+        }
+        // Constant guard on a conditional folds the conditional away.
+      }
+      // Canonical left-leaning associativity for + and *.
+      if (c1 < node_total) {
+        const int p_add = prod_of_op(dsl::Op::kAdd);
+        const int p_mul = prod_of_op(dsl::Op::kMul);
+        const int p_div = prod_of_op(dsl::Op::kDiv);
+        if (p_add >= 0) solver.add(z3::implies(sel(dsl::Op::kAdd), prod[c1] != p_add));
+        if (p_mul >= 0) solver.add(z3::implies(sel(dsl::Op::kMul), prod[c1] != p_mul));
+        if (p_div >= 0) {
+          solver.add(z3::implies(sel(dsl::Op::kDiv), prod[c0] != p_div && prod[c1] != p_div));
+        }
+      }
+      // cube(cbrt(x)) and cbrt(cube(x)) are identities.
+      {
+        const int p_cube = prod_of_op(dsl::Op::kCube);
+        const int p_cbrt = prod_of_op(dsl::Op::kCbrt);
+        if (p_cube >= 0 && p_cbrt >= 0) {
+          solver.add(z3::implies(sel(dsl::Op::kCube), prod[c0] != p_cbrt));
+          solver.add(z3::implies(sel(dsl::Op::kCbrt), prod[c0] != p_cube));
+        }
+        // cube/cbrt of a bare hole folds to a constant.
+        if (dsl.allow_constants) {
+          if (p_cube >= 0) solver.add(z3::implies(sel(dsl::Op::kCube), prod[c0] != hole));
+          if (p_cbrt >= 0) solver.add(z3::implies(sel(dsl::Op::kCbrt), prod[c0] != hole));
+        }
+      }
+      (void)c2;
+    }
+  }
+
+  void add_bucket_constraint(const std::vector<dsl::Op>& bucket) {
+    for (std::size_t j = 0; j < dsl.ops.size(); ++j) {
+      const dsl::Op o = dsl.ops[j];
+      const int p = ids.op_base + static_cast<int>(j);
+      const bool in_bucket =
+          std::find(bucket.begin(), bucket.end(), o) != bucket.end();
+      if (!in_bucket) {
+        for (std::size_t i = 0; i < node_total; ++i) solver.add(prod[i] != p);
+      } else {
+        z3::expr any = ctx.bool_val(false);
+        for (std::size_t i = 0; i < node_total; ++i) any = any || prod[i] == p;
+        solver.add(any);
+      }
+    }
+  }
+
+  dsl::ExprPtr decode(const z3::model& m, std::size_t i, int& next_hole) {
+    const int v = m.eval(prod[i], true).get_numeral_int();
+    if (v == 0) return nullptr;
+    if (v >= 1 && v < ids.op_base) {
+      if (dsl.allow_constants && v == ids.hole_id) return dsl::hole(next_hole++);
+      return dsl::sig(dsl.signals[static_cast<std::size_t>(v - 1)]);
+    }
+    const dsl::Op o = dsl.ops[static_cast<std::size_t>(v - ids.op_base)];
+    std::vector<dsl::ExprPtr> kids;
+    for (int k = 0; k < dsl::op_arity(o); ++k) {
+      auto c = decode(m, child(i, k), next_hole);
+      if (!c) return nullptr;  // malformed model; should not happen
+      kids.push_back(std::move(c));
+    }
+    return dsl::node(o, std::move(kids));
+  }
+
+  void block(const z3::model& m) {
+    z3::expr clause = ctx.bool_val(false);
+    for (std::size_t i = 0; i < node_total; ++i) {
+      clause = clause || prod[i] != m.eval(prod[i], true);
+    }
+    solver.add(clause);
+  }
+
+  z3::expr size_assumption(int k) {
+    z3::expr_vector actives(ctx);
+    for (std::size_t i = 0; i < node_total; ++i) {
+      actives.push_back(z3::ite(active(i), ctx.int_val(1), ctx.int_val(0)));
+    }
+    return z3::sum(actives) == k;
+  }
+};
+
+}  // namespace
+
+Z3Space z3_enumerate(const dsl::Dsl& dsl, const EnumeratorOptions& opts) {
+  Z3Space out;
+  const int max_nodes = opts.max_nodes.value_or(dsl.max_nodes);
+  int size = 1;
+  if (opts.bucket) {
+    for (dsl::Op o : *opts.bucket) size += dsl::op_arity(o);
+  }
+  if (size > max_nodes) return out;
+  Encoding smt(dsl, opts, opts.max_depth.value_or(dsl.max_depth), max_nodes);
+  std::unordered_set<std::size_t> seen_hashes;
+  for (; size <= max_nodes; ++size) {
+    z3::expr_vector assumptions(smt.ctx);
+    assumptions.push_back(smt.size_assumption(size));
+    while (smt.solver.check(assumptions) == z3::sat) {
+      const z3::model m = smt.solver.get_model();
+      ++out.models;
+      int next_hole = 0;
+      dsl::ExprPtr sketch = smt.decode(m, 0, next_hole);
+      smt.block(m);
+      if (!sketch || dsl::is_simplifiable(*sketch)) continue;
+      const auto canon_hash = dsl::hash_expr(*dsl::canonicalize(sketch));
+      if (seen_hashes.insert(canon_hash).second) out.sketches[size].push_back(canon_hash);
+    }
+  }
+  return out;
+}
+
+}  // namespace abg::synth
