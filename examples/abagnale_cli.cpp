@@ -87,7 +87,8 @@ int usage() {
                "                          /metrics (Prometheus), /jobs (batch), /journal,\n"
                "                          /healthz\n"
                "exit codes: 0 ok, 1 unknown, 2 usage, 3 parse, 4 invalid-trace, 5 timeout,\n"
-               "            6 cancelled, 7 io, 8 numeric, 9 invalid-argument\n");
+               "            6 cancelled, 7 io, 8 numeric, 9 invalid-argument,\n"
+               "            10 resource-exhausted\n");
   return 2;
 }
 

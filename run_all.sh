@@ -34,6 +34,7 @@ decode_exit_class() {
     7) echo "io-error" ;;
     8) echo "numeric-error" ;;
     9) echo "invalid-argument" ;;
+    10) echo "resource-exhausted" ;;
     *) echo "exit-$1" ;;
   esac
 }

@@ -416,7 +416,7 @@ void Engine::run_job(detail::JobInner& job) {
     out.segments_total = prepared->segments.size();
     out.mister880 =
         synth::mister880_synthesize(prepared->dsl, prepared->segments, job.spec.mister880);
-    out.status = util::Status::ok();
+    out.status = out.mister880.status;
   } else {
     auto synthesis = synth::synthesize(prepared->dsl, prepared->segments, popts.synth);
     record_synthesis(std::move(*prepared), std::move(synthesis), &out);

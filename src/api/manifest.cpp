@@ -71,7 +71,7 @@ const std::set<std::string>& known_job_keys() {
       // Search-shape knobs the distributed worker protocol must carry so a
       // shard searches exactly what the submitting process would (ISSUE 9).
       "initial_keep",  "initial_segments", "final_validation_segments",
-      "sample_growth", "exhaustive_cap", "unit_check"};
+      "sample_growth", "exhaustive_cap", "unit_check", "enumerator_memory_mb"};
   return keys;
 }
 
@@ -187,6 +187,9 @@ util::Status spec_from_json(const util::JsonValue& j, JobSpec* spec) {
   if (auto st = read_int(j, "sample_growth", &synth.sample_growth); !st.is_ok()) return st;
   if (auto st = read_size(j, "exhaustive_cap", &synth.exhaustive_cap); !st.is_ok()) return st;
   if (auto st = read_bool(j, "unit_check", &synth.unit_check); !st.is_ok()) return st;
+  if (auto st = read_size(j, "enumerator_memory_mb", &synth.enumerator_memory_mb); !st.is_ok()) {
+    return st;
+  }
   if (auto st = read_double(j, "warmup_s", &spec->pipeline.warmup_s); !st.is_ok()) return st;
   if (auto st = read_size(j, "min_segment_samples", &spec->pipeline.min_segment_samples);
       !st.is_ok()) {
@@ -290,6 +293,8 @@ std::string spec_to_json(const JobSpec& spec) {
   w.value(static_cast<std::uint64_t>(synth.exhaustive_cap));
   w.key("unit_check");
   w.value(synth.unit_check);
+  w.key("enumerator_memory_mb");
+  w.value(static_cast<std::uint64_t>(synth.enumerator_memory_mb));
   w.key("warmup_s");
   w.value(spec.pipeline.warmup_s);
   w.key("min_segment_samples");

@@ -24,7 +24,8 @@
 //         "simd": "auto",           // scalar | sse2 | avx2 | auto
 //         "initial_keep": 4, "initial_segments": 2,
 //         "final_validation_segments": 0, "sample_growth": 2,
-//         "exhaustive_cap": 20000, "unit_check": true
+//         "exhaustive_cap": 20000, "unit_check": true,
+//         "enumerator_memory_mb": 1024  // shared by the job's enumerators
 //       }, ...
 //     ]
 //   }

@@ -47,6 +47,8 @@ void write_bucket_checkpoint(obs::JsonWriter& w, const synth::BucketCheckpoint& 
   w.value(ck.best_sketch);
   w.key("best_handler");
   w.value(ck.best_handler);
+  w.key("sketch_order");
+  w.value(synth::kSketchOrder);
   w.end_object();
 }
 
@@ -131,6 +133,14 @@ util::Status bucket_checkpoint_from_json(const util::JsonValue& j, synth::Bucket
   }
   ck.best_sketch = bs->as_string();
   ck.best_handler = bh->as_string();
+
+  // 'sketches' counts in the sender's enumeration order; a state from a
+  // process that enumerates in another order would re-derive other sketches.
+  const auto* order = j.find("sketch_order");
+  if (order == nullptr || !order->is_string() || order->as_string() != synth::kSketchOrder) {
+    return bad("bucket '" + ck.label + "' was written under another sketch order (want '" +
+               synth::kSketchOrder + "')");
+  }
 
   *out = std::move(ck);
   return util::Status::ok();

@@ -15,7 +15,8 @@ using util::Result;
 using util::Status;
 using util::StatusCode;
 
-constexpr const char* kMagic = "abagnale-checkpoint v1";
+constexpr const char* kMagic = "abagnale-checkpoint v2";
+constexpr const char* kMagicV1 = "abagnale-checkpoint v1";
 
 // %a hex-float round-trips every finite double bit-exactly and prints
 // inf/nan as strtod-parseable words.
@@ -234,6 +235,12 @@ util::Result<Checkpoint> load_checkpoint(const std::string& path) {
       }
     }
     if (!cur.empty()) r.lines.push_back(std::move(cur));
+  }
+  if (!r.lines.empty() && r.lines[0] == kMagicV1) {
+    return Status(StatusCode::kParseError,
+                  "checkpoint format v1 counts sketches in an older enumeration order and "
+                  "cannot be resumed by this version; start the run afresh: " +
+                      path);
   }
   if (r.lines.empty() || r.lines[0] != kMagic) {
     return Status(StatusCode::kParseError, "not an abagnale checkpoint: " + path);

@@ -80,7 +80,10 @@ LossSynthesisResult synthesize_loss_handler(const dsl::Dsl& dsl, const dsl::Expr
 
   while (result.sketches_tried < opts.max_sketches) {
     auto sketch = enumerator.next();
-    if (!sketch) break;
+    if (!sketch) {
+      result.status = enumerator.status();
+      break;
+    }
     ++result.sketches_tried;
     for (const auto& assign : enumerate_assignments(**sketch, dsl.constant_pool, copts, rng)) {
       const auto handler = dsl::fill_holes(*sketch, assign);

@@ -16,6 +16,7 @@
 #include "synth/replay.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
+#include "util/status.hpp"
 
 namespace abg::synth {
 
@@ -47,6 +48,8 @@ struct LossSynthesisResult {
   double distance = 0.0;
   std::size_t sketches_tried = 0;
   std::size_t handlers_tried = 0;
+  // kResourceExhausted when the enumerator ran out of memory; ok otherwise.
+  util::Status status;
 
   bool found() const { return handler != nullptr; }
 };

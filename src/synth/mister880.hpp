@@ -48,6 +48,9 @@ struct Mister880Result {
   dsl::ExprPtr handler;  // nullptr if no candidate matched exactly
   std::size_t sketches_tried = 0;
   std::size_t handlers_tried = 0;
+  // kResourceExhausted when the enumerator ran out of memory before the
+  // search could finish; ok otherwise.
+  util::Status status;
 
   bool found() const { return handler != nullptr; }
 };

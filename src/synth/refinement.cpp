@@ -51,6 +51,11 @@ util::Status SynthesisOptions::validate() const {
   if (auto st = require_min(max_holes, 0, "max_holes"); !st.is_ok()) return st;
   if (max_depth && *max_depth < 1) return bad("max_depth must be >= 1 when set");
   if (max_nodes && *max_nodes < 1) return bad("max_nodes must be >= 1 when set");
+  if (auto st = require_min(static_cast<long long>(enumerator_memory_mb), 1,
+                            "enumerator_memory_mb");
+      !st.is_ok()) {
+    return st;
+  }
   if (std::isnan(timeout_s) || timeout_s < 0.0) {
     return bad("timeout_s must be >= 0 (0 = expire immediately, infinity = no deadline)");
   }

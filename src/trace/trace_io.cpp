@@ -44,13 +44,26 @@ std::string to_csv(const Trace& trace) {
     w.add_row({meta});
   }
   w.add_row({kColumns});
+  // The sample rows are numbers only (never quoted): formatted straight
+  // into the body, with no string per field.
+  std::string out = w.str();
+  out.reserve(out.size() + trace.samples.size() * kNumColumns * 12);
   for (const auto& s : trace.samples) {
-    w.add_row_numeric({s.sig.now, s.sig.mss, s.sig.cwnd, s.sig.inflight, s.sig.acked_bytes,
-                       s.sig.rtt, s.sig.srtt, s.sig.min_rtt, s.sig.max_rtt, s.sig.ack_rate,
-                       s.sig.rtt_gradient, s.sig.time_since_loss, s.cwnd_after, s.ack_seq,
-                       s.is_dup ? 1.0 : 0.0, s.loss_event ? 1.0 : 0.0});
+    const double row[kNumColumns] = {s.sig.now,          s.sig.mss,
+                                     s.sig.cwnd,         s.sig.inflight,
+                                     s.sig.acked_bytes,  s.sig.rtt,
+                                     s.sig.srtt,         s.sig.min_rtt,
+                                     s.sig.max_rtt,      s.sig.ack_rate,
+                                     s.sig.rtt_gradient, s.sig.time_since_loss,
+                                     s.cwnd_after,       s.ack_seq,
+                                     s.is_dup ? 1.0 : 0.0, s.loss_event ? 1.0 : 0.0};
+    for (std::size_t i = 0; i < kNumColumns; ++i) {
+      if (i > 0) out += ',';
+      util::append_number(out, row[i]);
+    }
+    out += '\n';
   }
-  return w.str();
+  return out;
 }
 
 util::Result<Trace> from_csv(const std::string& csv, const LoadOptions& opts) {

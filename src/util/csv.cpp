@@ -31,13 +31,18 @@ std::string quote(const std::string& field) {
 
 void CsvWriter::add_row(const std::vector<std::string>& fields) { rows_.push_back(fields); }
 
+void append_number(std::string& out, double v) {
+  char buf[64];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 12);
+  out.append(buf, r.ptr);
+}
+
 void CsvWriter::add_row_numeric(const std::vector<double>& values) {
   std::vector<std::string> fields;
   fields.reserve(values.size());
   for (double v : values) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.12g", v);
-    fields.emplace_back(buf);
+    fields.emplace_back();
+    append_number(fields.back(), v);
   }
   add_row(fields);
 }

@@ -13,7 +13,7 @@ class CsvWriter {
   explicit CsvWriter(char sep = ',') : sep_(sep) {}
 
   void add_row(const std::vector<std::string>& fields);
-  // Convenience: formats doubles with enough precision to round-trip.
+  // Convenience: formats doubles as append_number does.
   void add_row_numeric(const std::vector<double>& values);
 
   // Serialized CSV body.
@@ -25,6 +25,11 @@ class CsvWriter {
   char sep_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+// Appends `v` exactly as printf's "%.12g" formats it, through std::to_chars,
+// which is several times faster than snprintf. A trace's ~180k numbers are
+// written this way.
+void append_number(std::string& out, double v);
 
 // Parses CSV content into rows of fields. Handles quoted fields with embedded
 // separators and doubled quotes. Newlines inside quotes are not supported

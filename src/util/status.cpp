@@ -13,6 +13,7 @@ const char* status_code_name(StatusCode code) {
     case StatusCode::kIoError: return "io-error";
     case StatusCode::kNumericError: return "numeric-error";
     case StatusCode::kInvalidArgument: return "invalid-argument";
+    case StatusCode::kResourceExhausted: return "resource-exhausted";
   }
   return "unknown";
 }
@@ -28,6 +29,7 @@ int exit_code(StatusCode code) {
     case StatusCode::kIoError: return 7;
     case StatusCode::kNumericError: return 8;
     case StatusCode::kInvalidArgument: return 9;
+    case StatusCode::kResourceExhausted: return 10;
   }
   return 1;
 }

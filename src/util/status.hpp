@@ -22,6 +22,7 @@ enum class StatusCode {
   kIoError,          // file open/read/write/rename failure
   kNumericError,     // non-finite value where a finite one is required
   kInvalidArgument,  // caller-supplied options/spec rejected by validation
+  kResourceExhausted,  // a memory budget ran out (sketch enumeration)
 };
 
 // Stable short name, e.g. "parse-error".
@@ -30,7 +31,7 @@ const char* status_code_name(StatusCode code);
 // Distinct process exit code per class, for the CLI and run_all.sh:
 // ok=0, unknown=1 (2 is reserved for usage errors), parse-error=3,
 // invalid-trace=4, timeout=5, cancelled=6, io-error=7, numeric-error=8,
-// invalid-argument=9.
+// invalid-argument=9, resource-exhausted=10.
 int exit_code(StatusCode code);
 
 class Status {

@@ -22,6 +22,7 @@
 #include "api/manifest.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/http_client.hpp"
+#include "dist/wire.hpp"
 #include "dist/worker.hpp"
 #include "dsl/dsl.hpp"
 #include "net/simulator.hpp"
@@ -466,6 +467,33 @@ TEST(DistCodec, InfiniteTimeoutRoundTripsThroughNull) {
   EXPECT_TRUE(std::isinf(round->pipeline.synth.timeout_s));
 }
 
+// A bucket state counts sketches in its sender's enumeration order, so a
+// state that does not name this build's order is refused.
+TEST(DistCodec, BucketStateMustNameTheSketchOrder) {
+  synth::BucketCheckpoint ck = synth::fresh_bucket_checkpoint("{+}", 7);
+  ck.sketches = 12;
+  obs::JsonWriter w;
+  dist::write_bucket_checkpoint(w, ck);
+  const std::string text = w.take();
+  auto parsed = util::parse_json(text);
+  ASSERT_TRUE(parsed.ok());
+  synth::BucketCheckpoint back;
+  ASSERT_TRUE(dist::bucket_checkpoint_from_json(*parsed, &back).is_ok());
+  EXPECT_EQ(back.sketches, 12u);
+
+  const std::string key = std::string(",\"sketch_order\":\"") + synth::kSketchOrder + "\"";
+  const auto at = text.find(key);
+  ASSERT_NE(at, std::string::npos) << text;
+  for (const std::string& other :
+       {std::string(), std::string(",\"sketch_order\":\"z3-production-id\"")}) {
+    auto old = util::parse_json(std::string(text).replace(at, key.size(), other));
+    ASSERT_TRUE(old.ok());
+    const auto st = dist::bucket_checkpoint_from_json(*old, &back);
+    EXPECT_EQ(st.code(), util::StatusCode::kParseError);
+    EXPECT_NE(st.message().find("sketch order"), std::string::npos) << st.message();
+  }
+}
+
 TEST(DistCodec, UnknownKeysRejectedNamingTheField) {
   auto spec = api::spec_from_json("{\"traces\":[\"t.csv\"],\"inital_samples\":8}");
   ASSERT_FALSE(spec.ok());
@@ -496,6 +524,7 @@ TEST(DistCodec, RandomSpecsRoundTripExactly) {
     synth.sample_growth = pick_int(2, 10);
     synth.exhaustive_cap = static_cast<std::size_t>(pick_int(100, 8000));
     synth.unit_check = (gen() & 1) != 0;
+    synth.enumerator_memory_mb = static_cast<std::size_t>(pick_int(1, 4096));
     synth.concretize_budget = pick_int(1, 64);
     synth.max_holes = pick_int(1, 5);
     if (gen() & 1) synth.max_depth = pick_int(2, 6);
@@ -519,6 +548,7 @@ TEST(DistCodec, RandomSpecsRoundTripExactly) {
     EXPECT_EQ(round->pipeline.synth.sample_growth, synth.sample_growth);
     EXPECT_EQ(round->pipeline.synth.exhaustive_cap, synth.exhaustive_cap);
     EXPECT_EQ(round->pipeline.synth.unit_check, synth.unit_check);
+    EXPECT_EQ(round->pipeline.synth.enumerator_memory_mb, synth.enumerator_memory_mb);
     EXPECT_EQ(round->pipeline.synth.final_validation_segments,
               synth.final_validation_segments);
   }
